@@ -90,7 +90,6 @@ func run() error {
 		traceInt  = flag.Duration("trace-interval", time.Second, "progress-snapshot period for -trace")
 		metrics   = flag.Bool("metrics", false, "print the accumulated metrics registry at exit")
 		listen    = flag.String("listen", "", "serve live introspection (/metrics, /progress, /spans, pprof) on this address (e.g. localhost:6060)")
-		pprofAddr = flag.String("pprof", "", "deprecated alias for -listen (pprof rides the same mux)")
 		flightOut = flag.String("flight", "", "dump the flight-recorder ring (JSONL) to this file on fault, panic, or interrupt")
 		flightN   = flag.Int("flight-depth", flight.DefaultDepth, "flight-recorder events retained per category")
 	)
@@ -111,8 +110,8 @@ func run() error {
 
 	rt, err := live.Init(live.Options{
 		Binary: "benchtab",
-		Listen: *listen, Pprof: *pprofAddr,
-		Trace: *traceOut, Interval: *traceInt, Metrics: *metrics,
+		Listen: *listen,
+		Trace:  *traceOut, Interval: *traceInt, Metrics: *metrics,
 		Flight: *flightOut, FlightDepth: *flightN,
 	})
 	if err != nil {

@@ -70,7 +70,6 @@ func run() error {
 		traceInt  = flag.Duration("trace-interval", time.Second, "progress-snapshot period for -trace")
 		metrics   = flag.Bool("metrics", false, "print the metrics registry at exit (and embed it in -html)")
 		listen    = flag.String("listen", "", "serve live introspection (/metrics, /progress, /spans, pprof) on this address (e.g. localhost:6060)")
-		pprofAddr = flag.String("pprof", "", "deprecated alias for -listen (pprof rides the same mux)")
 		flightOut = flag.String("flight", "", "dump the flight-recorder ring (JSONL) to this file on fault, panic, or interrupt")
 		flightN   = flag.Int("flight-depth", flight.DefaultDepth, "flight-recorder events retained per category")
 	)
@@ -84,8 +83,8 @@ func run() error {
 
 	rt, err := live.Init(live.Options{
 		Binary: "statsym",
-		Listen: *listen, Pprof: *pprofAddr,
-		Trace: *traceOut, Interval: *traceInt, Metrics: *metrics,
+		Listen: *listen,
+		Trace:  *traceOut, Interval: *traceInt, Metrics: *metrics,
 		Flight: *flightOut, FlightDepth: *flightN,
 	})
 	if err != nil {
@@ -127,7 +126,7 @@ func run() error {
 		fmt.Println("-- pure symbolic execution (baseline)")
 		start := time.Now()
 		pctx, pspan := obs.StartSpan(ctx, "pure", obs.A("app", app.Name))
-		res := core.RunPureWorkers(pctx, app.Program(), app.Spec, *maxStates, *maxSteps, *timeout, *workers)
+		res := core.RunPure(pctx, app.Program(), app.Spec, *maxStates, *maxSteps, *timeout, *workers)
 		pspan.End(obs.A("paths", res.Paths), obs.A("steps", res.Steps), obs.A("found", res.Found()))
 		if res.Found() {
 			rt.NoteFault()
@@ -301,9 +300,9 @@ func printReport(rep *core.Report, app *apps.App, o *obs.Obs,
 		case c.Infeasible:
 			status = "infeasible / abandoned"
 		}
-		fmt.Printf("   candidate %d (len %d): %s — %d paths, %d steps, %d suspensions, %v (solver: %d checks, %d hits / %d misses, %d fast-paths, %v)\n",
+		fmt.Printf("   candidate %d (len %d): %s — %d paths, %d steps, %d suspensions, %v (solver: %d checks, %d hits / %d misses, %v)\n",
 			c.Index, c.PathLen, status, c.Paths, c.Steps, c.Suspends, c.Elapsed.Round(time.Millisecond),
-			c.SolverChecks, c.CacheHits, c.CacheMisses, c.CacheFastSat+c.CacheFastUnsat, c.SolverTime.Round(time.Millisecond))
+			c.SolverChecks, c.CacheHits, c.CacheMisses, c.SolverTime.Round(time.Millisecond))
 	}
 	if rep.SkippedCandidates > 0 {
 		fmt.Printf("   incremental: %d candidate paths skipped (no changed function on the path)\n",

@@ -50,17 +50,14 @@ func run() error {
 		all       = flag.Bool("all", false, "keep searching after the first vulnerability")
 		replay    = flag.String("replay", "", "seed exploration with a witness input (JSON, from statsym -witness-out)")
 		cov       = flag.Bool("cov", false, "report instruction coverage after the run")
-		fastPaths = flag.Bool("fast-paths", false, "enable heuristic solver-cache shortcuts (UNSAT-core subsumption, Sat-model reuse); may change exploration")
 		cacheDir  = flag.String("cache-dir", "", "persist solver-cache verdicts across runs in this directory (verified on load; wall-clock only)")
 		scope     = flag.String("scope", "", "interpretation scope policy: \"\" or \"all\" interprets everything; \"all,-f,-g\" havocs f and g; \"f,g\" interprets exactly that list plus main")
 		summaries = flag.Bool("summaries", false, "replace summarizable in-scope calls by memoized path summaries")
 		workers   = flag.Int("workers", 0, "frontier workers (0: sequential engine; >=1: deterministic epoch engine, results independent of the count)")
-		freeRun   = flag.Bool("free-run", false, "with -workers > 1, drop the deterministic epoch barrier (maximum throughput, nondeterministic counters)")
 		traceOut  = flag.String("trace", "", "stream a JSONL event trace (spans, progress) to this file")
 		traceInt  = flag.Duration("trace-interval", time.Second, "progress-snapshot period for -trace")
 		metrics   = flag.Bool("metrics", false, "print the metrics registry at exit")
 		listen    = flag.String("listen", "", "serve live introspection (/metrics, /progress, /spans, pprof) on this address (e.g. localhost:6060)")
-		pprofAddr = flag.String("pprof", "", "deprecated alias for -listen (pprof rides the same mux)")
 		flightOut = flag.String("flight", "", "dump the flight-recorder ring (JSONL) to this file on fault, panic, or interrupt")
 		flightN   = flag.Int("flight-depth", flight.DefaultDepth, "flight-recorder events retained per category")
 
@@ -76,8 +73,8 @@ func run() error {
 	if *serveWorker != "" {
 		return runServeWorker(*serveWorker, *cacheDir, live.Options{
 			Binary: "symexec",
-			Listen: *listen, Pprof: *pprofAddr,
-			Trace: *traceOut, Interval: *traceInt, Metrics: *metrics,
+			Listen: *listen,
+			Trace:  *traceOut, Interval: *traceInt, Metrics: *metrics,
 			Flight: *flightOut, FlightDepth: *flightN,
 		})
 	}
@@ -135,7 +132,6 @@ func run() error {
 	opts := symexec.DefaultOptions()
 	opts.StopAtFirstVuln = !*all
 	opts.Timeout = *timeout
-	opts.SolverFastPaths = *fastPaths
 	callMode := symexec.CallInterpret
 	switch {
 	case *summaries:
@@ -154,10 +150,6 @@ func run() error {
 		}
 	}
 	opts.Workers = *workers
-	opts.FreeRun = *freeRun
-	if *freeRun && *workers <= 1 {
-		return fmt.Errorf("-free-run requires -workers > 1")
-	}
 	if *maxStates > 0 {
 		opts.MaxStates = *maxStates
 	}
@@ -184,8 +176,8 @@ func run() error {
 
 	rt, err := live.Init(live.Options{
 		Binary: "symexec",
-		Listen: *listen, Pprof: *pprofAddr,
-		Trace: *traceOut, Interval: *traceInt, Metrics: *metrics,
+		Listen: *listen,
+		Trace:  *traceOut, Interval: *traceInt, Metrics: *metrics,
 		Flight: *flightOut, FlightDepth: *flightN,
 	})
 	if err != nil {
@@ -267,9 +259,8 @@ func run() error {
 	fmt.Printf("scheduler=%s paths=%d states=%d forks=%d steps=%d solver-checks=%d elapsed=%v\n",
 		opts.Sched.Name(), res.Paths, res.StatesCreated, res.Forks, res.Steps,
 		res.SolverChecks, res.Elapsed.Round(time.Millisecond))
-	fmt.Printf("solver-cache: hits=%d misses=%d fast-sat=%d fast-unsat=%d evictions=%d solver-time=%v\n",
-		res.CacheHits, res.CacheMisses, res.CacheFastSat, res.CacheFastUnsat,
-		res.CacheEvictions, res.SolverTime.Round(time.Millisecond))
+	fmt.Printf("solver-cache: hits=%d misses=%d evictions=%d solver-time=%v\n",
+		res.CacheHits, res.CacheMisses, res.CacheEvictions, res.SolverTime.Round(time.Millisecond))
 	if *cov {
 		fmt.Printf("coverage: %.1f%% of instructions\n", ex.TotalCoverage()*100)
 		byFunc := ex.Coverage()

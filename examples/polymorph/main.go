@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -60,7 +61,7 @@ func main() {
 	fmt.Printf("witness: polymorph -h -f <%d-byte name> (buffer is 512 bytes)\n\n", len(name))
 
 	// Step 4: the pure baseline for comparison.
-	pure := core.RunPure(app.Program(), app.Spec, 20_000, 20_000_000, 2*time.Minute)
+	pure := core.RunPure(context.Background(), app.Program(), app.Spec, 20_000, 20_000_000, 2*time.Minute, 0)
 	if pure.Found() {
 		fmt.Printf("pure symbolic execution: found after %d paths, %v\n",
 			pure.Paths, pure.Elapsed.Round(time.Millisecond))

@@ -297,7 +297,7 @@ func AblationFrontier(ctx context.Context, workerCounts []int, seed int64, budge
 			if err := ctx.Err(); err != nil {
 				return rows, err
 			}
-			res := core.RunPureWorkers(ctx, app.Program(), app.Spec,
+			res := core.RunPure(ctx, app.Program(), app.Spec,
 				budgets.PureMaxStates, budgets.PureMaxSteps, budgets.PureTimeout, w)
 			rows = append(rows, AblationRow{
 				Program:    app.Name,
@@ -314,17 +314,16 @@ func AblationFrontier(ctx context.Context, workerCounts []int, seed int64, budge
 	return rows, nil
 }
 
-// AblationSolverCache compares the exact-match cache (the default), the
-// cache with the opt-in KLEE-style heuristic fast paths, and effectively
-// uncached constraint solving on polymorph's pure baseline, quantifying
-// what each query-caching layer buys this engine.
+// AblationSolverCache compares the exact-match cache (the default) with
+// effectively uncached constraint solving on polymorph's pure baseline,
+// quantifying what query caching buys this engine.
 func AblationSolverCache(ctx context.Context, budgets Budgets) ([]AblationRow, error) {
 	app, err := apps.Get("polymorph")
 	if err != nil {
 		return nil, err
 	}
 	var rows []AblationRow
-	for _, name := range []string{"solver-cache=on", "solver-cache=fastpaths", "solver-cache=off"} {
+	for _, name := range []string{"solver-cache=on", "solver-cache=off"} {
 		if err := ctx.Err(); err != nil {
 			return rows, err
 		}
@@ -333,7 +332,6 @@ func AblationSolverCache(ctx context.Context, budgets Budgets) ([]AblationRow, e
 		opts.MaxStates = budgets.PureMaxStates
 		opts.MaxSteps = budgets.PureMaxSteps
 		opts.Timeout = budgets.PureTimeout
-		opts.SolverFastPaths = name == "solver-cache=fastpaths"
 		ex := symexec.New(app.Program(), app.Spec, opts)
 		if name == "solver-cache=off" {
 			ex.Solver = solver.NewCached(solver.New())

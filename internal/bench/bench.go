@@ -243,8 +243,8 @@ func Table4(ctx context.Context, seed int64, budgets Budgets) ([]Table4Row, erro
 			GuidedTime:  rep.StatTime + rep.SymTime,
 			GuidedFound: rep.Found(),
 		}
-		pure := core.RunPureContext(ctx, app.Program(), app.Spec,
-			budgets.PureMaxStates, budgets.PureMaxSteps, budgets.PureTimeout)
+		pure := core.RunPure(ctx, app.Program(), app.Spec,
+			budgets.PureMaxStates, budgets.PureMaxSteps, budgets.PureTimeout, 0)
 		row.PurePaths = pure.Paths
 		row.PureTime = pure.Elapsed
 		row.PureFound = pure.Found()

@@ -29,15 +29,15 @@ import (
 // guidance over the shipped program), deterministic under step/state
 // budgets, and large enough that the wire cost — one program + spec +
 // candidate out, one outcome back — is noise against the attempt itself.
-// Local slots and remote workers pull ranks from one shared queue, so
-// workers steal exactly the attempts the local slots have not claimed;
-// outcomes merge through the same rank-order replay as the in-process
-// parallel engine (mergeAttempts), which is what makes DetectionDigest
-// byte-identical for every topology: zero workers, N workers, or workers
+// The rank-queue scheduler (scheduler.go) gives each connected worker one
+// puller beside the local slots, so workers steal exactly the attempts the
+// local slots have not claimed; outcomes merge through the same rank-order
+// replay as every other topology (mergeAttempts), which is what makes
+// DetectionDigest byte-identical for zero workers, N workers, or workers
 // that crash mid-unit (their units re-run locally).
 
 // attemptUnitVersion versions the FrameAttemptUnit payload.
-const attemptUnitVersion = 1
+const attemptUnitVersion = 2
 
 // EncodeAttemptUnit serializes one candidate attempt for a worker: the
 // scalar verification knobs, then the program, input spec, and candidate
@@ -147,8 +147,6 @@ func encodeAttemptResult(out CandidateOutcome, vuln *symexec.Vulnerability) []by
 	w.Int(out.SolverChecks)
 	w.Int(out.CacheHits)
 	w.Int(out.CacheMisses)
-	w.Int(out.CacheFastSat)
-	w.Int(out.CacheFastUnsat)
 	w.Varint(int64(out.SolverTime))
 	w.Int(out.SummaryCalls)
 	w.Int(out.SummaryPaths)
@@ -213,12 +211,6 @@ func decodeAttemptResult(payload []byte) (CandidateOutcome, *symexec.Vulnerabili
 		return out, nil, err
 	}
 	if out.CacheMisses, err = r.Int(); err != nil {
-		return out, nil, err
-	}
-	if out.CacheFastSat, err = r.Int(); err != nil {
-		return out, nil, err
-	}
-	if out.CacheFastUnsat, err = r.Int(); err != nil {
 		return out, nil, err
 	}
 	if ns, err = r.Varint(); err != nil {
@@ -411,193 +403,124 @@ func (l *dispatchLog) close() {
 	}
 }
 
-// verifyCandidatesDispatch verifies cands under the coordinator/worker
-// backend and merges the outcomes into rep deterministically. Invoked by
-// RunContext when cfg.Dispatch is set.
-//
-// Topology: max(1, cfg.Parallel) local slots plus one puller per connected
-// worker, all draining one rank queue — remote workers steal whatever the
-// local slots have not claimed. Any worker failure (dial, transport,
-// deadline, or a unit-level error) re-runs that unit locally on the same
-// goroutine, so a lost worker costs speed, never a detection.
-func verifyCandidatesDispatch(ctx context.Context, prog *bytecode.Program, cands []*pathid.CandidatePath, cfg Config, rep *Report) {
+// dispatcher is the coordinator side of a Dispatch run of the rank-queue
+// scheduler (scheduler.go): it dials the workers, ships attempt units to
+// them, and keeps the audit log and the Report.Dispatch* counters. Any
+// worker failure (dial, transport, deadline, or a unit-level error) re-runs
+// that unit locally on the same puller, so a lost worker costs speed,
+// never a detection.
+type dispatcher struct {
+	ctx     context.Context
+	q       *rankQueue
+	o       *obs.Obs
+	log     *dispatchLog
+	clients []*dispatch.Client
+	stops   []func() bool
+
+	remote, local, redispatched, dead atomic.Int64
+}
+
+func newDispatcher(ctx context.Context, q *rankQueue) *dispatcher {
 	o := obs.FromContext(ctx)
-	dlog := openDispatchLog(cfg.DispatchLog, o)
-	defer dlog.close()
+	return &dispatcher{ctx: ctx, q: q, o: o, log: openDispatchLog(q.cfg.DispatchLog, o)}
+}
 
-	attempts := make([]attempt, len(cands))
-	ctxs := make([]context.Context, len(cands))
-	cancels := make([]context.CancelFunc, len(cands))
-	for i := range cands {
-		ctxs[i], cancels[i] = context.WithCancel(ctx)
-	}
-	defer func() {
-		for _, cancel := range cancels {
-			cancel()
-		}
-	}()
+// runLocal verifies rank i+1 on a local slot.
+func (d *dispatcher) runLocal(i int) {
+	d.log.note(DispatchEvent{Event: "local", Rank: i + 1})
+	d.local.Add(1)
+	d.q.runLocal(i)
+}
 
-	// Winner machinery, identical to the in-process parallel engine: the
-	// lowest successful rank cancels every higher-ranked sibling.
-	var mu sync.Mutex
-	winner := 0
-	noteSuccess := func(rank int) {
-		mu.Lock()
-		defer mu.Unlock()
-		if winner != 0 && winner <= rank {
-			return
-		}
-		winner = rank
-		for i := rank; i < len(cancels); i++ {
-			cancels[i]()
-		}
-	}
-	beyondWinner := func(rank int) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return winner != 0 && rank > winner
-	}
-
-	var remote, local, redispatched, dead atomic.Int64
-	runLocal := func(i int) {
-		rank := i + 1
-		outcome, vuln := VerifyCandidateCtx(ctxs[i], prog, cands[i], rank, cfg)
-		attempts[i] = attempt{outcome: outcome, vuln: vuln, complete: !outcome.Cancelled}
-		if vuln != nil {
-			noteSuccess(rank)
-		}
-	}
-
-	indices := make(chan int)
-	var wg sync.WaitGroup
-	// Feeding starts only after every puller is parked at the queue
-	// (ready.Wait below). Without the barrier, a single-core scheduler can
-	// let the first local slot drain the whole queue before a worker
-	// goroutine ever runs — turning every remote topology into a de facto
-	// local run. With it, the first sends hand one rank to each parked
-	// puller, so connected workers always get a chance to steal.
-	var ready sync.WaitGroup
-
-	// Local slots. Dispatch works with Parallel unset — one local slot
-	// keeps draining ranks the workers do not steal.
-	slots := cfg.Parallel
-	if slots < 1 {
-		slots = 1
-	}
-	if slots > len(cands) {
-		slots = len(cands)
-	}
-	for s := 0; s < slots; s++ {
-		wg.Add(1)
-		ready.Add(1)
-		go func() {
-			defer wg.Done()
-			ready.Done()
-			for i := range indices {
-				rank := i + 1
-				if beyondWinner(rank) || ctxs[i].Err() != nil {
-					continue
-				}
-				dlog.note(DispatchEvent{Event: "local", Rank: rank})
-				local.Add(1)
-				runLocal(i)
-			}
-		}()
-	}
-
-	// Worker pullers: one goroutine per connected worker, pulling from
-	// the same queue (that pull IS the steal). The attempt ships encoded;
-	// any failure falls back to runLocal on this goroutine, and a dead
-	// client stops pulling.
-	for _, addr := range cfg.WorkerAddrs {
+// dial connects to every worker and returns one puller per connection:
+// pulling a rank from the shared queue is the steal. A worker that cannot
+// be dialled is skipped with a warning.
+func (d *dispatcher) dial(addrs []string) []func(i int) {
+	var pullers []func(int)
+	for _, addr := range addrs {
 		c, err := dispatch.Dial(addr)
 		if err != nil {
-			dlog.note(DispatchEvent{Event: "dial_failed", Worker: addr, Err: err.Error()})
-			obs.Warn(ctx, "dispatch worker unreachable", obs.A("addr", addr), obs.A("error", err.Error()))
-			dead.Add(1)
+			d.log.note(DispatchEvent{Event: "dial_failed", Worker: addr, Err: err.Error()})
+			obs.Warn(d.ctx, "dispatch worker unreachable", obs.A("addr", addr), obs.A("error", err.Error()))
+			d.dead.Add(1)
 			continue
 		}
-		dlog.note(DispatchEvent{Event: "dial", Worker: addr})
+		d.log.note(DispatchEvent{Event: "dial", Worker: addr})
 		// Caller cancellation severs in-flight round trips: closing the
 		// connection fails the pending Do, and the puller's local re-run
 		// sees the already-cancelled per-rank context, so it records the
-		// partial attempt and unwinds — same accounting as the in-process
-		// engines.
-		stop := context.AfterFunc(ctx, func() { c.Close() })
-		wg.Add(1)
-		ready.Add(1)
-		go func(addr string, c *dispatch.Client) {
-			defer wg.Done()
-			defer stop()
-			defer c.Close()
-			ready.Done()
-			for i := range indices {
-				rank := i + 1
-				if beyondWinner(rank) || ctxs[i].Err() != nil {
-					continue
-				}
-				if c.Dead() != nil {
-					// A dead worker's puller degrades into one more local
-					// slot so queued ranks never stall behind it.
-					dlog.note(DispatchEvent{Event: "local", Rank: rank})
-					local.Add(1)
-					runLocal(i)
-					continue
-				}
-				dlog.note(DispatchEvent{Event: "steal", Rank: rank, Worker: addr})
-				unit := EncodeAttemptUnit(prog, cands[i], rank, cfg)
-				if o != nil {
-					o.Metrics.Counter(obs.MetricDispatchUnitBytes).Add(int64(len(unit)))
-				}
-				reply, err := c.Do(snapshot.FrameAttemptUnit, unit, cfg.UnitDeadline)
-				var outcome CandidateOutcome
-				var vuln *symexec.Vulnerability
-				if err == nil {
-					if o != nil {
-						o.Metrics.Counter(obs.MetricDispatchResultBytes).Add(int64(len(reply)))
-					}
-					outcome, vuln, err = decodeAttemptResult(reply)
-				}
-				if err != nil {
-					if c.Dead() != nil {
-						dlog.note(DispatchEvent{Event: "worker_dead", Worker: addr, Err: c.Dead().Error()})
-						dead.Add(1)
-					}
-					dlog.note(DispatchEvent{Event: "redispatch", Rank: rank, Worker: addr, Err: err.Error()})
-					obs.Warn(ctx, "dispatch unit re-run locally",
-						obs.A("rank", rank), obs.A("addr", addr), obs.A("error", err.Error()))
-					redispatched.Add(1)
-					runLocal(i)
-					continue
-				}
-				remote.Add(1)
-				attempts[i] = attempt{outcome: outcome, vuln: vuln, complete: !outcome.Cancelled}
-				if vuln != nil {
-					noteSuccess(rank)
-				}
-			}
-		}(addr, c)
+		// partial attempt and unwinds — same accounting as local slots.
+		d.stops = append(d.stops, context.AfterFunc(d.ctx, func() { c.Close() }))
+		d.clients = append(d.clients, c)
+		pullers = append(pullers, func(i int) { d.runRemote(addr, c, i) })
 	}
+	return pullers
+}
 
-	ready.Wait()
-	for i := range cands {
-		indices <- i
+// runRemote ships rank i+1 to the worker behind c; any failure falls back
+// to a local run on this puller.
+func (d *dispatcher) runRemote(addr string, c *dispatch.Client, i int) {
+	rank := i + 1
+	if c.Dead() != nil {
+		// A dead worker's puller degrades into one more local slot so
+		// queued ranks never stall behind it.
+		d.runLocal(i)
+		return
 	}
-	close(indices)
-	wg.Wait()
+	d.log.note(DispatchEvent{Event: "steal", Rank: rank, Worker: addr})
+	unit := EncodeAttemptUnit(d.q.prog, d.q.cands[i], rank, d.q.cfg)
+	if d.o != nil {
+		d.o.Metrics.Counter(obs.MetricDispatchUnitBytes).Add(int64(len(unit)))
+	}
+	reply, err := c.Do(snapshot.FrameAttemptUnit, unit, d.q.cfg.UnitDeadline)
+	var outcome CandidateOutcome
+	var vuln *symexec.Vulnerability
+	if err == nil {
+		if d.o != nil {
+			d.o.Metrics.Counter(obs.MetricDispatchResultBytes).Add(int64(len(reply)))
+		}
+		outcome, vuln, err = decodeAttemptResult(reply)
+	}
+	if err != nil {
+		if c.Dead() != nil {
+			d.log.note(DispatchEvent{Event: "worker_dead", Worker: addr, Err: c.Dead().Error()})
+			d.dead.Add(1)
+		}
+		d.log.note(DispatchEvent{Event: "redispatch", Rank: rank, Worker: addr, Err: err.Error()})
+		obs.Warn(d.ctx, "dispatch unit re-run locally",
+			obs.A("rank", rank), obs.A("addr", addr), obs.A("error", err.Error()))
+		d.redispatched.Add(1)
+		d.q.runLocal(i)
+		return
+	}
+	d.remote.Add(1)
+	d.q.record(i, outcome, vuln)
+}
 
-	mergeAttempts(rep, attempts)
-	rep.DispatchRemote = int(remote.Load())
-	rep.DispatchLocal = int(local.Load())
-	rep.DispatchRedispatched = int(redispatched.Load())
-	rep.DispatchWorkersDead = int(dead.Load())
-	dlog.note(DispatchEvent{Event: "merge", Winner: rep.CandidateUsed,
+// finish copies the scheduling counters into rep and logs the merge.
+func (d *dispatcher) finish(rep *Report) {
+	rep.DispatchRemote = int(d.remote.Load())
+	rep.DispatchLocal = int(d.local.Load())
+	rep.DispatchRedispatched = int(d.redispatched.Load())
+	rep.DispatchWorkersDead = int(d.dead.Load())
+	d.log.note(DispatchEvent{Event: "merge", Winner: rep.CandidateUsed,
 		Remote: rep.DispatchRemote, Local: rep.DispatchLocal, Redisp: rep.DispatchRedispatched})
-	if o != nil {
-		m := o.Metrics
+	if d.o != nil {
+		m := d.o.Metrics
 		m.Counter(obs.MetricDispatchRemote).Add(int64(rep.DispatchRemote))
 		m.Counter(obs.MetricDispatchLocal).Add(int64(rep.DispatchLocal))
 		m.Counter(obs.MetricDispatchRedispatched).Add(int64(rep.DispatchRedispatched))
 		m.Counter(obs.MetricDispatchWorkersDead).Add(int64(rep.DispatchWorkersDead))
 	}
+}
+
+// close releases the worker connections and the audit log.
+func (d *dispatcher) close() {
+	for _, stop := range d.stops {
+		stop()
+	}
+	for _, c := range d.clients {
+		c.Close()
+	}
+	d.log.close()
 }

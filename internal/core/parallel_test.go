@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -37,7 +38,7 @@ func runBoth(t *testing.T, name string, workers int) (seq, par *Report) {
 
 // TestParallelMatchesSequential: with Parallel > 1 the report's counters
 // must be identical to the sequential loop on every evaluation app — the
-// determinism guarantee documented on verifyCandidatesParallel.
+// determinism guarantee documented on the rank-queue scheduler.
 func TestParallelMatchesSequential(t *testing.T) {
 	for _, name := range []string{"polymorph", "ctree", "thttpd", "grep"} {
 		t.Run(name, func(t *testing.T) {
@@ -115,13 +116,10 @@ func TestSharedCacheDeterminism(t *testing.T) {
 						ci, rep.Found(), rep.CandidateUsed, ref.Found(), ref.CandidateUsed)
 				}
 				if rep.TotalPaths != ref.TotalPaths || rep.TotalSteps != ref.TotalSteps ||
-					rep.CacheHits != ref.CacheHits || rep.CacheMisses != ref.CacheMisses ||
-					rep.CacheFastSat != ref.CacheFastSat || rep.CacheFastUnsat != ref.CacheFastUnsat {
-					t.Errorf("config %d counters diverged:\n  got  paths=%d steps=%d hits=%d misses=%d fastSat=%d fastUnsat=%d\n  want paths=%d steps=%d hits=%d misses=%d fastSat=%d fastUnsat=%d",
-						ci, rep.TotalPaths, rep.TotalSteps,
-						rep.CacheHits, rep.CacheMisses, rep.CacheFastSat, rep.CacheFastUnsat,
-						ref.TotalPaths, ref.TotalSteps,
-						ref.CacheHits, ref.CacheMisses, ref.CacheFastSat, ref.CacheFastUnsat)
+					rep.CacheHits != ref.CacheHits || rep.CacheMisses != ref.CacheMisses {
+					t.Errorf("config %d counters diverged:\n  got  paths=%d steps=%d hits=%d misses=%d\n  want paths=%d steps=%d hits=%d misses=%d",
+						ci, rep.TotalPaths, rep.TotalSteps, rep.CacheHits, rep.CacheMisses,
+						ref.TotalPaths, ref.TotalSteps, ref.CacheHits, ref.CacheMisses)
 				}
 				if len(rep.Candidates) != len(ref.Candidates) {
 					t.Fatalf("config %d: %d candidates, want %d", ci, len(rep.Candidates), len(ref.Candidates))
@@ -257,8 +255,44 @@ func TestVerifyCandidateRank(t *testing.T) {
 	if out.Index != 3 {
 		t.Errorf("outcome Index = %d, want the rank passed in (3)", out.Index)
 	}
-	legacy, _ := VerifyCandidate(app.Program(), cand, Config{Spec: app.Spec})
-	if legacy.Index != 1 {
-		t.Errorf("legacy wrapper Index = %d, want 1", legacy.Index)
+}
+
+// TestParallelRunsStayDispatchFree: without cfg.Dispatch the rank-queue
+// scheduler has no remote pullers, so sequential and parallel runs emit no
+// dispatch events, leave the Report.Dispatch* counters at zero, and agree
+// on the digest and totals. grep covers an abandoned candidate ahead of the
+// one that verifies the bug.
+func TestParallelRunsStayDispatchFree(t *testing.T) {
+	for _, name := range []string{"polymorph", "grep"} {
+		t.Run(name, func(t *testing.T) {
+			var ref *Report
+			for _, parallel := range []int{0, 1, 4} {
+				rep, events := runObserved(t, name, func(cfg *Config) { cfg.Parallel = parallel })
+				for _, ev := range events {
+					if ev.Type == obs.EventDispatch {
+						t.Errorf("parallel=%d: dispatch event %q emitted", parallel, ev.Name)
+					}
+				}
+				if rep.DispatchRemote != 0 || rep.DispatchLocal != 0 ||
+					rep.DispatchRedispatched != 0 || rep.DispatchWorkersDead != 0 {
+					t.Errorf("parallel=%d: dispatch counters moved: remote=%d local=%d redispatched=%d dead=%d",
+						parallel, rep.DispatchRemote, rep.DispatchLocal, rep.DispatchRedispatched, rep.DispatchWorkersDead)
+				}
+				if ref == nil {
+					ref = rep
+					if name == "grep" && (len(rep.Candidates) < 2 || rep.Candidates[0].Found) {
+						t.Fatalf("grep: want an abandoned candidate before the found one, got %d attempts", len(rep.Candidates))
+					}
+					continue
+				}
+				if DetectionDigest(rep) != DetectionDigest(ref) {
+					t.Errorf("parallel=%d: digest diverged:\n%s--- want ---\n%s", parallel, DetectionDigest(rep), DetectionDigest(ref))
+				}
+				if rep.TotalSteps != ref.TotalSteps || rep.TotalPaths != ref.TotalPaths {
+					t.Errorf("parallel=%d: totals (%d steps, %d paths), want (%d steps, %d paths)",
+						parallel, rep.TotalSteps, rep.TotalPaths, ref.TotalSteps, ref.TotalPaths)
+				}
+			}
+		})
 	}
 }

@@ -43,12 +43,12 @@ type Config struct {
 	// TotalTimeout bounds the whole symbolic-execution phase.
 	TotalTimeout time.Duration
 
-	// Parallel is the candidate-verification worker count. Values above 1
-	// verify the ranked candidate paths concurrently (see parallel.go);
-	// 0 and 1 keep the sequential Fig. 5 loop. Outcomes and report
-	// counters are deterministic in rank order regardless of the value,
-	// provided the per-candidate budgets are step/state bounds rather
-	// than wall-clock ones.
+	// Parallel is the number of local candidate-verification slots of the
+	// rank-queue scheduler (scheduler.go). Values above 1 verify the ranked
+	// candidate paths concurrently; 0 and 1 give one slot, the sequential
+	// Fig. 5 loop. Outcomes and report counters are deterministic in rank
+	// order regardless of the value, provided the per-candidate budgets
+	// are step/state bounds rather than wall-clock ones.
 	Parallel int
 
 	// Workers is the in-candidate frontier worker count handed to the
@@ -61,13 +61,13 @@ type Config struct {
 	// worker-count-invariant), only the wall-clock split.
 	Workers int
 
-	// Dispatch selects the coordinator/worker candidate-verification
-	// backend (dispatch.go): ranked candidate attempts are pulled from one
-	// shared queue by local slots and by one goroutine per connected
-	// worker process, so remote workers steal whatever the local slots
-	// have not claimed yet. Outcomes merge in rank order exactly like the
-	// in-process engines, so DetectionDigest is byte-identical for any
-	// topology — zero workers, N workers, or workers that die mid-run.
+	// Dispatch adds remote pullers to the rank-queue scheduler
+	// (dispatch.go): ranked candidate attempts are pulled from one shared
+	// queue by the local slots and by one goroutine per connected worker
+	// process, so remote workers steal whatever the local slots have not
+	// claimed yet. Outcomes merge in rank order exactly like local-only
+	// runs, so DetectionDigest is byte-identical for any topology — zero
+	// workers, N workers, or workers that die mid-run.
 	// Works with an empty WorkerAddrs (a local-only dispatch run, useful
 	// for A/B tests).
 	Dispatch bool
@@ -197,7 +197,7 @@ func (cfg Config) effectiveWorkers() int {
 }
 
 // withDefaults returns cfg with unset tunables replaced by the paper
-// defaults. Every pipeline entry point (sequential, parallel, and direct
+// defaults. Every pipeline entry point (the pipeline runs and direct
 // candidate verification) normalizes its Config through this single place.
 func (cfg Config) withDefaults() Config {
 	if cfg.Tau == 0 {
@@ -228,16 +228,12 @@ type CandidateOutcome struct {
 	Cancelled bool
 
 	// Solver effort for this attempt: total satisfiability queries, the
-	// query-cache split (exact hits, misses, and the KLEE-style fast-path
-	// answers within the misses), and the wall clock spent inside
-	// non-memoized solver checks (previously computed in internal/solver
-	// but dropped outside the ablation bench).
-	SolverChecks   int
-	CacheHits      int
-	CacheMisses    int
-	CacheFastSat   int
-	CacheFastUnsat int
-	SolverTime     time.Duration
+	// query-cache split (exact hits and misses), and the wall clock spent
+	// inside non-memoized solver checks.
+	SolverChecks int
+	CacheHits    int
+	CacheMisses  int
+	SolverTime   time.Duration
 
 	// Compositional-call counters for this attempt (zero under interpret
 	// mode): calls replaced by summary instantiation, feasible paths those
@@ -299,16 +295,14 @@ type Report struct {
 	// Cancelled=true) but never the work of ranks the run did not reach —
 	// in parallel runs, attempts cancelled because a lower rank already
 	// verified the vulnerability are discarded, matching the sequential
-	// loop which never starts them (see parallel.go).
+	// loop which never starts them (see scheduler.go).
 	TotalPaths int
 	TotalSteps int64
-	// CacheHits/CacheMisses/fast-path counters/SolverTime aggregate the
-	// per-candidate solver effort across the recorded attempts.
-	CacheHits      int
-	CacheMisses    int
-	CacheFastSat   int
-	CacheFastUnsat int
-	SolverTime     time.Duration
+	// CacheHits/CacheMisses/SolverTime aggregate the per-candidate solver
+	// effort across the recorded attempts.
+	CacheHits   int
+	CacheMisses int
+	SolverTime  time.Duration
 	// Compositional-call totals across the recorded attempts (deterministic,
 	// from the executors' Result counters).
 	SummaryCalls   int
@@ -383,8 +377,8 @@ func Run(prog *bytecode.Program, corpus *trace.Corpus, cfg Config) (*Report, err
 // attempt(s) wind down within one scheduling quantum, the partial report
 // (statistics, completed attempts, counters so far) is still returned, and
 // Report.Cancelled is set. With cfg.Parallel > 1 the ranked candidates are
-// verified by a bounded worker pool instead of the sequential loop; the
-// resulting report is deterministic and identical to the sequential one.
+// verified on that many concurrent slots; the resulting report is
+// deterministic and identical to the sequential one.
 func RunContext(ctx context.Context, prog *bytecode.Program, corpus *trace.Corpus, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	rep := &Report{Program: prog.Name}
@@ -511,14 +505,7 @@ func runSymPhase(ctx context.Context, prog *bytecode.Program, cfg Config, rep *R
 		rep.SymTime = time.Since(symStart)
 		return fmt.Errorf("core: call strategy: %w", err)
 	}
-	switch {
-	case cfg.Dispatch && len(cands) > 0:
-		verifyCandidatesDispatch(symCtx, prog, cands, cfg, rep)
-	case cfg.Parallel > 1 && len(cands) > 1:
-		verifyCandidatesParallel(symCtx, prog, cands, cfg, rep)
-	default:
-		verifyCandidatesSequential(symCtx, prog, cands, cfg, rep)
-	}
+	verifyCandidates(symCtx, prog, cands, cfg, rep)
 	// Seal the persistent cache before reading its counters: Close drains
 	// the write-behind spill and advances the store manifest to this
 	// program's function set. A seal failure costs the next run its warm
@@ -567,16 +554,13 @@ func runSymPhase(ctx context.Context, prog *bytecode.Program, cfg Config, rep *R
 }
 
 // addOutcome appends one attempt to the report and folds its counters
-// into the totals — the single accumulation point shared by the
-// sequential loop and the parallel merge, so the two stay consistent.
+// into the totals — the single accumulation point of the rank-order merge.
 func (r *Report) addOutcome(o CandidateOutcome) {
 	r.Candidates = append(r.Candidates, o)
 	r.TotalPaths += o.Paths
 	r.TotalSteps += o.Steps
 	r.CacheHits += o.CacheHits
 	r.CacheMisses += o.CacheMisses
-	r.CacheFastSat += o.CacheFastSat
-	r.CacheFastUnsat += o.CacheFastUnsat
 	r.SolverTime += o.SolverTime
 	r.SummaryCalls += o.SummaryCalls
 	r.SummaryPaths += o.SummaryPaths
@@ -584,37 +568,13 @@ func (r *Report) addOutcome(o CandidateOutcome) {
 	r.DepthExhausted += o.DepthExhausted
 }
 
-// verifyCandidatesSequential is the paper's Fig. 5 loop: attempt candidates
-// in rank order, stop at the first verified vulnerable path.
-func verifyCandidatesSequential(ctx context.Context, prog *bytecode.Program, cands []*pathid.CandidatePath, cfg Config, rep *Report) {
-	for i, cand := range cands {
-		if ctx.Err() != nil {
-			break
-		}
-		outcome, vuln := VerifyCandidateCtx(ctx, prog, cand, i+1, cfg)
-		rep.addOutcome(outcome)
-		if vuln != nil {
-			rep.Vuln = vuln
-			rep.CandidateUsed = i + 1
-			break
-		}
-	}
-}
-
-// VerifyCandidate runs statistics-guided symbolic execution against one
-// candidate vulnerable path (step e.2 of Fig. 5) and reports the outcome
-// together with the vulnerability, if verified. The outcome's Index is 1;
-// callers holding a ranked list should use VerifyCandidateCtx with the
-// candidate's true rank.
-func VerifyCandidate(prog *bytecode.Program, cand *pathid.CandidatePath, cfg Config) (CandidateOutcome, *symexec.Vulnerability) {
-	return VerifyCandidateCtx(context.Background(), prog, cand, 1, cfg)
-}
-
-// VerifyCandidateCtx verifies one candidate path under a context. rank is
-// the candidate's 1-based position in the ranked list and is recorded as
-// the outcome's Index, so direct callers (tests, alternative ranking
-// strategies, the parallel engine) get correct indices without patching
-// the outcome afterwards.
+// VerifyCandidateCtx runs statistics-guided symbolic execution against one
+// candidate vulnerable path (step e.2 of Fig. 5) under a context and
+// reports the outcome together with the vulnerability, if verified. rank
+// is the candidate's 1-based position in the ranked list and is recorded
+// as the outcome's Index, so direct callers (tests, alternative ranking
+// strategies, the scheduler) get correct indices without patching the
+// outcome afterwards.
 func VerifyCandidateCtx(ctx context.Context, prog *bytecode.Program, cand *pathid.CandidatePath, rank int, cfg Config) (CandidateOutcome, *symexec.Vulnerability) {
 	cfg = cfg.withDefaults()
 	g := NewGuidance(cand)
@@ -652,9 +612,9 @@ func VerifyCandidateCtx(ctx context.Context, prog *bytecode.Program, cand *pathi
 		opts.MaxStates = cfg.MaxStates
 	}
 	// The verify span rides into the executor through the context, so
-	// progress snapshots attach to this candidate's span. In parallel
-	// runs every worker derives its context from the pipeline root, so
-	// the concurrent verify spans all nest under it deterministically.
+	// progress snapshots attach to this candidate's span. Every slot
+	// derives its context from the pipeline root, so concurrent verify
+	// spans all nest under it deterministically.
 	ctx, vspan := obs.StartSpan(ctx, "verify", obs.A("rank", rank), obs.A("path_len", cand.Len()))
 	obs.Progress(ctx, obs.A("phase", "verify"), obs.A("rank", rank),
 		obs.A("path_len", cand.Len()))
@@ -674,8 +634,6 @@ func VerifyCandidateCtx(ctx context.Context, prog *bytecode.Program, cand *pathi
 		SolverChecks:   res.SolverChecks,
 		CacheHits:      res.CacheHits,
 		CacheMisses:    res.CacheMisses,
-		CacheFastSat:   res.CacheFastSat,
-		CacheFastUnsat: res.CacheFastUnsat,
 		SolverTime:     res.SolverTime,
 		SummaryCalls:   res.SummaryCalls,
 		SummaryPaths:   res.SummaryPaths,
@@ -714,8 +672,7 @@ func VerifyCandidateCtx(ctx context.Context, prog *bytecode.Program, cand *pathi
 	vspan.EmitChild("solver", runStart, res.SolverTime,
 		obs.A("checks", res.SolverChecks), obs.A("sat", res.SolverSat),
 		obs.A("unsat", res.SolverUnsat), obs.A("unknown", res.SolverUnknowns),
-		obs.A("cache_hits", res.CacheHits), obs.A("cache_misses", res.CacheMisses),
-		obs.A("cache_fast_sat", res.CacheFastSat), obs.A("cache_fast_unsat", res.CacheFastUnsat))
+		obs.A("cache_hits", res.CacheHits), obs.A("cache_misses", res.CacheMisses))
 	vspan.End(obs.A("rank", rank), obs.A("outcome", out.Label()),
 		obs.A("paths", out.Paths), obs.A("steps", out.Steps))
 	return out, vuln
@@ -740,20 +697,11 @@ func abandonReason(res *symexec.Result) string {
 }
 
 // RunPure executes the pure-symbolic-execution baseline (unmodified KLEE in
-// the paper's Table IV) with the same input spec and resource bounds.
-func RunPure(prog *bytecode.Program, spec *symexec.InputSpec, maxStates int, maxSteps int64, timeout time.Duration) *symexec.Result {
-	return RunPureContext(context.Background(), prog, spec, maxStates, maxSteps, timeout)
-}
-
-// RunPureContext is RunPure under a context (cancellation stops the
-// baseline the same way it stops guided attempts).
-func RunPureContext(ctx context.Context, prog *bytecode.Program, spec *symexec.InputSpec, maxStates int, maxSteps int64, timeout time.Duration) *symexec.Result {
-	return RunPureWorkers(ctx, prog, spec, maxStates, maxSteps, timeout, 0)
-}
-
-// RunPureWorkers is RunPureContext with an in-run frontier worker count
-// (0: sequential engine; >= 1: the deterministic epoch engine).
-func RunPureWorkers(ctx context.Context, prog *bytecode.Program, spec *symexec.InputSpec, maxStates int, maxSteps int64, timeout time.Duration, workers int) *symexec.Result {
+// the paper's Table IV) with the same input spec and resource bounds, under
+// a context (cancellation stops the baseline the same way it stops guided
+// attempts). workers is the in-run frontier worker count (0: sequential
+// engine; >= 1: the deterministic epoch engine).
+func RunPure(ctx context.Context, prog *bytecode.Program, spec *symexec.InputSpec, maxStates int, maxSteps int64, timeout time.Duration, workers int) *symexec.Result {
 	opts := symexec.DefaultOptions()
 	opts.Sched = symexec.NewBFS()
 	if maxStates > 0 {

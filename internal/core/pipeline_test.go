@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -112,7 +113,7 @@ func TestPureBaselineTable4Shape(t *testing.T) {
 	// state budget on the other three (Table IV).
 	for _, name := range []string{"polymorph", "ctree", "thttpd", "grep"} {
 		app, _ := apps.Get(name)
-		res := RunPure(app.Program(), app.Spec, 10_000, 5_000_000, 30*time.Second)
+		res := RunPure(context.Background(), app.Program(), app.Spec, 10_000, 5_000_000, 30*time.Second, 0)
 		if app.PureFails {
 			if res.Found() {
 				t.Errorf("%s: pure symbolic execution unexpectedly succeeded", name)
@@ -202,7 +203,7 @@ func TestGuidedBeatsPureOnPaths(t *testing.T) {
 		t.Fatal("guided search failed")
 	}
 	app, _ := apps.Get("polymorph")
-	pure := RunPure(app.Program(), app.Spec, 20_000, 20_000_000, time.Minute)
+	pure := RunPure(context.Background(), app.Program(), app.Spec, 20_000, 20_000_000, time.Minute, 0)
 	if !pure.Found() {
 		t.Fatal("pure baseline failed on polymorph")
 	}

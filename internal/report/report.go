@@ -87,11 +87,8 @@ type AttemptRow struct {
 	SolverChecks int
 	CacheHits    int
 	CacheMisses  int
-	// FastPaths is the number of queries answered by the cache's
-	// UNSAT-subset / SAT-model-reuse shortcuts (a subset of the misses).
-	FastPaths  int
-	SolverTime string
-	Elapsed    string
+	SolverTime   string
+	Elapsed      string
 }
 
 // PhaseRow is one pipeline phase's wall time.
@@ -172,7 +169,6 @@ func Build(rep *core.Report, now string) *Model {
 			SolverChecks: a.SolverChecks,
 			CacheHits:    a.CacheHits,
 			CacheMisses:  a.CacheMisses,
-			FastPaths:    a.CacheFastSat + a.CacheFastUnsat,
 			SolverTime:   a.SolverTime.Round(time.Microsecond).String(),
 			Elapsed:      a.Elapsed.Round(time.Microsecond).String(),
 		})
@@ -290,8 +286,8 @@ var page = template.Must(template.New("report").Parse(`<!DOCTYPE html>
 </table>
 
 <h2>Exploration attempts</h2>
-<table><tr><th>candidate</th><th>status</th><th>paths</th><th>steps</th><th>solver checks</th><th>cache hits</th><th>cache misses</th><th>fast paths</th><th>solver time</th><th>time</th></tr>
-{{range .Attempts}}<tr><td>{{.Index}}</td><td>{{.Status}}</td><td>{{.Paths}}</td><td>{{.Steps}}</td><td>{{.SolverChecks}}</td><td>{{.CacheHits}}</td><td>{{.CacheMisses}}</td><td>{{.FastPaths}}</td><td>{{.SolverTime}}</td><td>{{.Elapsed}}</td></tr>{{end}}
+<table><tr><th>candidate</th><th>status</th><th>paths</th><th>steps</th><th>solver checks</th><th>cache hits</th><th>cache misses</th><th>solver time</th><th>time</th></tr>
+{{range .Attempts}}<tr><td>{{.Index}}</td><td>{{.Status}}</td><td>{{.Paths}}</td><td>{{.Steps}}</td><td>{{.SolverChecks}}</td><td>{{.CacheHits}}</td><td>{{.CacheMisses}}</td><td>{{.SolverTime}}</td><td>{{.Elapsed}}</td></tr>{{end}}
 </table>
 
 {{if .Metrics}}

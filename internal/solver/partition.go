@@ -98,12 +98,12 @@ func (cs *CachedSolver) CheckPartitionedCtx(ctx context.Context, t *VarTable, co
 func (cs *CachedSolver) CheckPartitionedDigestCtx(ctx context.Context, t *VarTable, cons []Constraint, d Digest) (Result, Model) {
 	comps := Partition(cons)
 	if len(comps) <= 1 {
-		return cs.checkDigest(ctx, t, cons, d, nil)
+		return cs.checkDigest(ctx, t, cons, d)
 	}
 	merged := make(Model)
 	result := Sat
 	for _, comp := range comps {
-		res, m := cs.checkDigest(ctx, t, comp, DigestOf(comp), nil)
+		res, m := cs.checkDigest(ctx, t, comp, DigestOf(comp))
 		switch res {
 		case Unsat:
 			// One unsatisfiable component refutes the conjunction.

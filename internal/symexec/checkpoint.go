@@ -28,7 +28,7 @@ import (
 // with a FIFO scheduler; a mid-quantum step-limit stop re-enqueues the
 // interrupted state at the BFS tail, which is exactly the order the
 // checkpoint preserves, so capture-after-StepLimited resumes faithfully.
-const checkpointVersion = 1
+const checkpointVersion = 2
 
 // EncodeCheckpoint serializes the executor's current search. The scheduler
 // is drained and re-filled in the same order, so a FIFO scheduler is
@@ -54,7 +54,7 @@ func (ex *Executor) EncodeCheckpoint() ([]byte, error) {
 // the provable-equivalence envelope.
 func (ex *Executor) checkpointable() error {
 	switch {
-	case ex.parallel || ex.Opts.Workers > 0:
+	case ex.Opts.Workers > 0:
 		return fmt.Errorf("symexec: checkpoint requires the sequential engine (Workers=0)")
 	case ex.Opts.Hook != nil:
 		return fmt.Errorf("symexec: checkpoint cannot capture a guidance hook")
@@ -267,8 +267,6 @@ func (ex *Executor) encodeCounters(w *snapshot.Writer) {
 	w.Int(ex.Solver.Queries.Unknown)
 	w.Int(ex.Solver.Hits)
 	w.Int(ex.Solver.Misses)
-	w.Int(ex.Solver.FastSat)
-	w.Int(ex.Solver.FastUnsat)
 	w.Int(ex.Solver.Evictions)
 	w.Int(len(res.Vulns))
 	for _, v := range res.Vulns {
@@ -351,8 +349,7 @@ func (ex *Executor) decodeCounters(r *snapshot.Reader) error {
 		&ex.res.HavocCalls, &ex.res.DepthExhausted, &ex.res.Revivals,
 		&ex.Solver.Queries.Checks, &ex.Solver.Queries.Sat,
 		&ex.Solver.Queries.Unsat, &ex.Solver.Queries.Unknown,
-		&ex.Solver.Hits, &ex.Solver.Misses,
-		&ex.Solver.FastSat, &ex.Solver.FastUnsat, &ex.Solver.Evictions,
+		&ex.Solver.Hits, &ex.Solver.Misses, &ex.Solver.Evictions,
 	}
 	for _, p := range ints {
 		if *p, err = r.Int(); err != nil {
@@ -544,7 +541,6 @@ func ResumeExecutor(blob []byte, opts Options) (*Executor, error) {
 		resumed: true,
 	}
 	ex.Solver.Shared = opts.SharedCache
-	ex.Solver.FastPaths = opts.SolverFastPaths
 	if cov, ok := opts.Sched.(*CoverageScheduler); ok {
 		cov.SetVisitFunc(ex.visitCount)
 	}
@@ -640,17 +636,17 @@ func (ex *Executor) EncodeFrontierShards(n int) ([][]byte, error) {
 		// Zeroed counters except ID/seq, which must stay globally unique
 		// enough for deterministic per-shard tie-breaking. Layout mirrors
 		// encodeCounters: Paths/StatesCreated/MaxLive, Steps (varint),
-		// Forks through Revivals, nine solver baselines, vuln count.
+		// Forks through Revivals, seven solver baselines, vuln count.
 		w.Int(ex.nextID)
 		w.Int(ex.nextSeq)
-		w.Int(0) // Paths
-		w.Int(0) // StatesCreated
-		w.Int(0) // MaxLive
+		w.Int(0)    // Paths
+		w.Int(0)    // StatesCreated
+		w.Int(0)    // MaxLive
 		w.Varint(0) // Steps
 		for i := 0; i < 6; i++ {
 			w.Int(0) // Forks, SummaryCalls, SummaryPaths, HavocCalls, DepthExhausted, Revivals
 		}
-		for i := 0; i < 9; i++ {
+		for i := 0; i < 7; i++ {
 			w.Int(0) // solver counter baselines
 		}
 		w.Int(0) // no vulnerabilities

@@ -3,7 +3,6 @@ package symexec
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bytecode"
@@ -72,12 +71,6 @@ type Options struct {
 	// entries by origin function. Purely attributive: never consulted for
 	// verdicts.
 	OriginHashes []uint64
-	// SolverFastPaths enables the solver cache's heuristic layer
-	// (UNSAT-core subsumption, Sat-model reuse). Unlike the exact-match
-	// caches this can change exploration — reused models carry different
-	// concrete values and subsumption can sharpen Unknown into Unsat — so
-	// it is opt-in (see solver.CachedSolver.FastPaths).
-	SolverFastPaths bool
 	// Workers selects the engine. 0 (the default) runs the original
 	// sequential loop. >= 1 runs the epoch-based parallel frontier engine
 	// (frontier.go) with that many worker goroutines: states are drafted
@@ -92,11 +85,6 @@ type Options struct {
 	// EpochWidth is the number of states drafted per epoch (0:
 	// DefaultEpochWidth). It, not Workers, determines the schedule.
 	EpochWidth int
-	// FreeRun, with Workers > 1, drops the epoch barrier: workers pull
-	// states continuously and merge under a lock. Fastest wall-clock, but
-	// exploration order — and therefore counters and which vulnerability is
-	// found first — becomes timing-dependent. Off by default.
-	FreeRun bool
 }
 
 // Default limits.
@@ -167,13 +155,9 @@ type Result struct {
 	// CacheHits/CacheMisses are the solver query-cache counters and
 	// SolverTime the wall clock spent inside non-memoized solver checks —
 	// surfaced here so pipeline reports need not reach into the solver.
-	// CacheFastSat/CacheFastUnsat count queries answered by the KLEE-style
-	// subset/superset shortcuts (a subclass of CacheMisses), and
 	// CacheEvictions counts LRU evictions from the exact-match cache.
 	CacheHits      int
 	CacheMisses    int
-	CacheFastSat   int
-	CacheFastUnsat int
 	CacheEvictions int
 	SolverTime     time.Duration
 	// Exhausted reports the state-budget abort (KLEE OOM analogue);
@@ -225,20 +209,16 @@ type Executor struct {
 
 	// Parallel frontier engine plumbing (see frontier.go). lane, when set,
 	// supplies this executor view's fresh variable IDs (each worker slot has
-	// its own lane so concurrent allocation is deterministic); parallel
-	// marks the visit counters as shared across workers (atomic updates);
-	// extraWall accumulates the worker slots' solver wall time.
+	// its own lane so concurrent allocation is deterministic); extraWall
+	// accumulates the worker slots' solver wall time.
 	lane      *solver.Lane
-	parallel  bool
 	extraWall time.Duration
 
 	// Epoch-engine slots buffer visit counts locally (visitDelta, with
 	// visitDirty listing the touched instructions) and flush them into the
 	// main executor's arrays at the merge barrier, where the scheduler —
-	// the only reader — runs. This replaces a contended atomic add per
-	// instruction with a plain local increment; free-run slots leave these
-	// nil and keep the atomic path, since there the scheduler reads counts
-	// while workers are mid-quantum.
+	// the only reader — runs, so no visit count is ever touched by two
+	// goroutines at once.
 	visitDelta [][]int64
 	visitDirty []visitRef
 
@@ -283,20 +263,18 @@ func New(prog *bytecode.Program, spec *InputSpec, opts Options) *Executor {
 		visits: make([][]int64, len(prog.Funcs)),
 	}
 	ex.Solver.Shared = opts.SharedCache
-	ex.Solver.FastPaths = opts.SolverFastPaths
 	if cov, ok := opts.Sched.(*CoverageScheduler); ok {
 		cov.SetVisitFunc(ex.visitCount)
 	}
 	if opts.Workers > 0 {
-		ex.parallel = true
 		// Deterministic variable identity under concurrency: pre-register
 		// every literal-named input channel and reserve byte blocks for
 		// symbolic strings, so IDs never depend on which worker gets there
 		// first.
 		ex.inputs.blocks = true
 		ex.inputs.prescan(prog)
-		// Visit counters become shared across workers; allocate them all up
-		// front so recordVisit never races a lazy allocation.
+		// Visit counters are shared by the worker slots; allocate them all
+		// up front so recordVisit never races a lazy allocation.
 		for i, fn := range prog.Funcs {
 			ex.visits[i] = make([]int64, len(fn.Code))
 		}
@@ -330,11 +308,6 @@ func (ex *Executor) visitCount(fnIndex, pc int) int64 {
 	if v == nil || pc >= len(v) {
 		return 0
 	}
-	if ex.parallel {
-		// Free-running workers may be mid-quantum while the scheduler
-		// consults visit counts.
-		return atomic.LoadInt64(&v[pc])
-	}
 	return v[pc]
 }
 
@@ -356,13 +329,6 @@ func (ex *Executor) recordVisit(fnIndex, pc int) {
 				ex.visitDirty = append(ex.visitDirty, visitRef{fn: int32(fnIndex), pc: int32(pc)})
 			}
 			d[pc]++
-			return
-		}
-		if ex.parallel {
-			// Free-running worker slots share the main executor's arrays;
-			// counts are order-independent sums, so atomic increments keep
-			// them coherent. (Parallel mode pre-allocates every array.)
-			atomic.AddInt64(&ex.visits[fnIndex][pc], 1)
 			return
 		}
 		ex.visits[fnIndex][pc]++
@@ -422,12 +388,9 @@ func (ex *Executor) RunContext(ctx context.Context) *Result {
 		}
 		ex.addState(st)
 	}
-	switch {
-	case ex.Opts.Workers > 1 && ex.Opts.FreeRun:
-		ex.runFree()
-	case ex.Opts.Workers > 0:
+	if ex.Opts.Workers > 0 {
 		ex.runEpochs()
-	default:
+	} else {
 		ex.runSequential()
 	}
 	ex.res.SuspendedAtEnd = len(ex.suspended)
@@ -440,8 +403,6 @@ func (ex *Executor) RunContext(ctx context.Context) *Result {
 	ex.res.SolverUnsat = ex.Solver.Queries.Unsat
 	ex.res.CacheHits = ex.Solver.Hits
 	ex.res.CacheMisses = ex.Solver.Misses
-	ex.res.CacheFastSat = ex.Solver.FastSat
-	ex.res.CacheFastUnsat = ex.Solver.FastUnsat
 	ex.res.CacheEvictions = ex.Solver.Evictions
 	ex.res.SolverTime = ex.Solver.WallTime() + ex.extraWall
 	ex.res.Elapsed = time.Since(start)
@@ -541,8 +502,6 @@ func (ex *Executor) mirrorMetrics() {
 	m.Counter(obs.MetricSolverUnknown).Add(int64(r.SolverUnknowns))
 	m.Counter(obs.MetricCacheHits).Add(int64(r.CacheHits))
 	m.Counter(obs.MetricCacheMisses).Add(int64(r.CacheMisses))
-	m.Counter(obs.MetricCacheFastSat).Add(int64(r.CacheFastSat))
-	m.Counter(obs.MetricCacheFastUnsat).Add(int64(r.CacheFastUnsat))
 	// Evictions split by cause: capacity pressure (r.CacheEvictions, the
 	// historical meaning) vs origin invalidation after a code change. The
 	// unsplit counter stays as the total for dashboard continuity.

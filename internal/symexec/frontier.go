@@ -80,22 +80,26 @@ func (sx *Executor) runQuantumCollect(st *State) (out quantumOut) {
 // newSlot builds a worker-slot view of the executor: shared program,
 // variable table, input registry, visit counters and options; private
 // result deltas, solver stack (with the shared physical-verdict cache),
-// and variable lane.
+// variable lane, and buffered visit counters (plain increments during the
+// quantum, flushed at the merge barrier; see recordVisit).
 func (ex *Executor) newSlot(lane *solver.Lane, shared *solver.SharedCache) *Executor {
 	sx := &Executor{
-		Prog:     ex.Prog,
-		Table:    ex.Table,
-		Solver:   solver.NewCached(solver.New()),
-		Opts:     ex.Opts,
-		inputs:   ex.inputs,
-		res:      &Result{},
-		ctx:      ex.ctx,
-		visits:   ex.visits,
-		lane:     lane,
-		parallel: true,
+		Prog:       ex.Prog,
+		Table:      ex.Table,
+		Solver:     solver.NewCached(solver.New()),
+		Opts:       ex.Opts,
+		inputs:     ex.inputs,
+		res:        &Result{},
+		ctx:        ex.ctx,
+		visits:     ex.visits,
+		lane:       lane,
+		visitDelta: make([][]int64, len(ex.Prog.Funcs)),
+		visitDirty: make([]visitRef, 0, ex.Opts.BatchSize),
+	}
+	for j, fn := range ex.Prog.Funcs {
+		sx.visitDelta[j] = make([]int64, len(fn.Code))
 	}
 	sx.Solver.Shared = shared
-	sx.Solver.FastPaths = ex.Opts.SolverFastPaths
 	return sx
 }
 
@@ -111,10 +115,10 @@ func (sx *Executor) resetDeltas() {
 	sx.stopped = false
 }
 
-// mergeOut folds one quantum's outcome into the main executor. The caller
-// owns the executor (the epoch merge phase, or the free-run lock). A
-// quantum merged after the run has stopped is discarded wholesale — its
-// deltas never surface, which is deterministic because the stop point is.
+// mergeOut folds one quantum's outcome into the main executor during the
+// epoch merge phase. A quantum merged after the run has stopped is
+// discarded wholesale — its deltas never surface, which is deterministic
+// because the stop point is.
 func (ex *Executor) mergeOut(sx *Executor, st *State, out quantumOut) {
 	if sx.visitDelta != nil {
 		// Visit counts always merge — every drafted slot runs to completion
@@ -151,8 +155,13 @@ func (ex *Executor) mergeOut(sx *Executor, st *State, out quantumOut) {
 	}
 	sx.resetDeltas()
 	if ex.stopped {
-		// Mirror the sequential engine's stop-at-vulnerability: the rest of
-		// the quantum's outcome (children, rescheduling) is dropped.
+		// Mirror the sequential engine's stop-at-vulnerability: the quantum
+		// stopped at its faulting step, and a faulting state that ended
+		// there counts as a finished path, as in runQuantum; the rest of the
+		// quantum's outcome (children, rescheduling) is dropped.
+		if out.done {
+			ex.res.Paths++
+		}
 		return
 	}
 	for _, child := range out.children {
@@ -188,8 +197,6 @@ func (ex *Executor) foldSlotSolver(sx *Executor) {
 	ex.Solver.Queries.Unknown += sx.Solver.Queries.Unknown
 	ex.Solver.Hits += sx.Solver.Hits
 	ex.Solver.Misses += sx.Solver.Misses
-	ex.Solver.FastSat += sx.Solver.FastSat
-	ex.Solver.FastUnsat += sx.Solver.FastUnsat
 	ex.Solver.Evictions += sx.Solver.Evictions
 	ex.Solver.SharedHits += sx.Solver.SharedHits
 	ex.Solver.SharedMisses += sx.Solver.SharedMisses
@@ -209,20 +216,15 @@ type frontier struct {
 	start   time.Time
 }
 
-// installLanes carves the executor's variable table into deterministic
-// lanes: one per slot, one for the main executor, one for the registry's
-// overflow path. Called once, before any worker starts.
-func (ex *Executor) installLanes(nslots int) *solver.LaneGroup {
-	group := ex.Table.NewLaneGroup(nslots + 2)
-	ex.lane = group.Lane(nslots)
-	ex.inputs.mu.Lock()
-	ex.inputs.overflow = group.Lane(nslots + 1)
-	ex.inputs.mu.Unlock()
-	return group
-}
-
 func newFrontier(ex *Executor, width, workers int) *frontier {
-	group := ex.installLanes(width)
+	// Carve the variable table into deterministic lanes before any worker
+	// starts: one per slot, one for the main executor, one for the
+	// registry's overflow path.
+	group := ex.Table.NewLaneGroup(width + 2)
+	ex.lane = group.Lane(width)
+	ex.inputs.mu.Lock()
+	ex.inputs.overflow = group.Lane(width + 1)
+	ex.inputs.mu.Unlock()
 	shared := ex.Opts.SharedCache
 	if shared == nil && workers > 1 {
 		// Workers within one attempt share physical solves; counters are
@@ -243,16 +245,8 @@ func newFrontier(ex *Executor, width, workers int) *frontier {
 		busy:    make([]time.Duration, workers),
 		start:   time.Now(),
 	}
-	for i := 0; i < width; i++ {
-		sx := ex.newSlot(group.Lane(i), shared)
-		// Buffered visit counters: plain increments during the quantum,
-		// flushed at the merge barrier (see recordVisit).
-		sx.visitDelta = make([][]int64, len(ex.Prog.Funcs))
-		for j, fn := range ex.Prog.Funcs {
-			sx.visitDelta[j] = make([]int64, len(fn.Code))
-		}
-		sx.visitDirty = make([]visitRef, 0, ex.Opts.BatchSize)
-		f.slots[i] = sx
+	for i := range f.slots {
+		f.slots[i] = ex.newSlot(group.Lane(i), shared)
 	}
 	if ex.obsv != nil {
 		f.fill = ex.obsv.Metrics.Histogram(obs.MetricEpochFill, obs.EpochFillBuckets...)
@@ -397,91 +391,5 @@ func (f *frontier) finish() {
 	if elapsed := time.Since(f.start); elapsed > 0 && f.workers > 0 {
 		util := 100 * int64(busy) / (int64(elapsed) * int64(f.workers))
 		m.Gauge(obs.MetricWorkerUtilPct).SetMax(util)
-	}
-}
-
-// runFree is the free-running engine (Options.FreeRun with Workers > 1):
-// workers pull states from the scheduler continuously and merge outcomes
-// under a lock. No epoch barrier, so idle time is minimal — but the
-// exploration order, and with it every counter and which vulnerability is
-// found first, depends on timing. Only the set of reachable behaviors is
-// preserved, not the sequential engine's determinism.
-func (ex *Executor) runFree() {
-	w := ex.Opts.Workers
-	group := ex.installLanes(w)
-	shared := ex.Opts.SharedCache
-	if shared == nil {
-		shared = solver.NewSharedCache(0)
-	}
-	ex.Solver.Shared = shared
-	slots := make([]*Executor, w)
-	for i := range slots {
-		slots[i] = ex.newSlot(group.Lane(i), shared)
-	}
-
-	var mu sync.Mutex
-	cond := sync.NewCond(&mu)
-	inflight := 0
-	// halted reports (and records, once) any stop condition. Caller holds mu.
-	halted := func() bool {
-		if ex.stopped {
-			return true
-		}
-		if ex.res.Steps >= ex.Opts.MaxSteps {
-			ex.res.StepLimited = true
-			return true
-		}
-		if err := ex.ctx.Err(); err != nil {
-			if !ex.res.TimedOut && !ex.res.Cancelled {
-				ex.noteInterrupt(err)
-			}
-			return true
-		}
-		return false
-	}
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for wk := 0; wk < w; wk++ {
-		go func(sx *Executor) {
-			defer wg.Done()
-			mu.Lock()
-			for {
-				if halted() {
-					break
-				}
-				cur := ex.sched.Next()
-				if cur == nil {
-					if inflight > 0 {
-						// A running quantum may fork children; wait for its
-						// merge before concluding the frontier is empty.
-						cond.Wait()
-						continue
-					}
-					if len(ex.suspended) > 0 {
-						ex.reviveSuspended()
-						continue
-					}
-					break
-				}
-				inflight++
-				mu.Unlock()
-				out := sx.runQuantumCollect(cur)
-				mu.Lock()
-				inflight--
-				ex.mergeOut(sx, cur, out)
-				cond.Broadcast()
-			}
-			mu.Unlock()
-			cond.Broadcast()
-		}(slots[wk])
-	}
-	wg.Wait()
-	for i, sx := range slots {
-		if ex.obsv != nil {
-			if wall := sx.Solver.WallTime(); wall > 0 {
-				ex.obsv.Metrics.Counter(obs.SlotSolverWallMetric(i)).Add(int64(wall))
-			}
-		}
-		ex.foldSlotSolver(sx)
 	}
 }
