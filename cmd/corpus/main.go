@@ -18,7 +18,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -136,7 +135,6 @@ func cmdStats(args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	dir := fs.String("dir", "", "store directory")
 	top := fs.Int("top", 10, "predicates to print")
-	maxDistinct := fs.Int("max-distinct", 0, "per-variable sketch cap before exact fallback (0: default)")
 	fs.Parse(args)
 	if *dir == "" {
 		return fmt.Errorf("stats needs -dir")
@@ -145,23 +143,18 @@ func cmdStats(args []string) error {
 	if err != nil {
 		return err
 	}
-	nR, nL, nV, err := s.Counts()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("store %s (%s): %d runs, %d locations, %d variables, %d bytes in %d segments\n",
-		*dir, s.Program(), nR, nL, nV, s.TotalBytes(), len(s.Segments()))
-
 	start := time.Now()
 	it := s.Iter()
-	a, err := stats.AnalyzeStream(context.Background(), it, stats.StreamOpts{MaxDistinct: *maxDistinct})
-	if err != nil {
+	sa := stats.NewStreamAnalyzer()
+	if err := trace.Each(context.Background(), it, sa.Add); err != nil {
 		return err
 	}
+	a := sa.Finish()
 	elapsed := time.Since(start)
 	scanned := it.ScannedBytes()
-	it.Close()
 	mbs := float64(scanned) / (1 << 20) / elapsed.Seconds()
+	fmt.Printf("store %s (%s): %d runs, %d locations, %d variables, %d bytes in %d segments\n",
+		*dir, s.Program(), a.Runs, a.Locations, a.Variables, s.TotalBytes(), len(s.Segments()))
 	fmt.Printf("streaming analysis: %d predicates in %v (scanned %d compressed bytes, %.1f MB/s, peak block %d B)\n",
 		len(a.Predicates), elapsed.Round(time.Millisecond), scanned, mbs, it.MaxBlockBytes())
 	for i, p := range a.Top(*top) {
@@ -222,19 +215,11 @@ func cmdVerify(args []string) error {
 		start := time.Now()
 		it := s.Iter()
 		n := 0
-		for {
-			_, err := it.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			n++
+		if err := trace.Each(context.Background(), it, func(*trace.Run) { n++ }); err != nil {
+			return err
 		}
 		elapsed := time.Since(start)
 		mbs := float64(it.ScannedBytes()) / (1 << 20) / elapsed.Seconds()
-		it.Close()
 		fmt.Printf("scan: %d runs, %d compressed bytes in %v (%.1f MB/s)\n",
 			n, it.ScannedBytes(), elapsed.Round(time.Millisecond), mbs)
 	}

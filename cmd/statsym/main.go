@@ -203,7 +203,7 @@ func run() error {
 			nR, nL, nV, store.TotalBytes()/1024, len(store.Segments()), monElapsed.Round(time.Millisecond))
 		rep, err := core.RunStoreContext(ctx, app.Program(), store, cfg)
 		if err != nil {
-			return err
+			return pipelineErr(err)
 		}
 		rep.MonTime = monElapsed
 		if rep.Found() {
@@ -248,13 +248,24 @@ func run() error {
 
 	rep, err := core.RunContext(ctx, app.Program(), corpus, cfg)
 	if err != nil {
-		return err
+		return pipelineErr(err)
 	}
 	rep.MonTime = monElapsed
 	if rep.Found() {
 		rt.NoteFault()
 	}
 	return printReport(rep, app, o, verbose, dotOut, htmlOut, witOut, minimize)
+}
+
+// pipelineErr maps a pipeline error to the command's result. A SIGINT
+// during the statistical front end is a cooperative stop, like one during
+// collection: there are no statistics yet, so there is no report.
+func pipelineErr(err error) error {
+	if errors.Is(err, context.Canceled) {
+		fmt.Println("RESULT: interrupted during statistical analysis — no report")
+		return nil
+	}
+	return err
 }
 
 // printReport renders the pipeline report — shared by the in-memory and

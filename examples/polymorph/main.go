@@ -32,15 +32,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	runs, locs, vars := corpus.Counts()
-	fmt.Printf("collected %d runs over %d locations / %d variables at 30%% sampling\n\n",
-		runs, locs, vars)
 
 	// Step 2+3: statistical analysis and guided symbolic execution.
 	rep, err := core.Run(app.Program(), corpus, core.Config{Spec: app.Spec})
 	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Printf("collected %d runs over %d locations / %d variables at 30%% sampling\n\n",
+		rep.Runs, rep.Locations, rep.Variables)
 
 	fmt.Println("top 10 predicates (Table V):")
 	for i, p := range rep.Analysis.Top(10) {

@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -59,10 +58,10 @@ func FormatCorpusAblation(title string, rows []CorpusRow) string {
 
 // AblationCorpusStore compares the legacy one-blob JSON corpus against the
 // segmented binary store on every app: persist the same corpus both ways,
-// re-read it in full, and run the statistical front-end (in-memory Analyze
-// over the JSON corpus, streaming AnalyzeStream plus the transition counter
-// over the store). The predicate counts must agree — the differential tests
-// in internal/corpus pin byte-identity; this ablation prices the two paths.
+// re-read it in full, and run the statistical front end over each (the
+// same single pass, over the re-read corpus and off the store). The
+// predicate counts must agree — the differential tests in internal/corpus
+// pin byte-identity; this ablation prices the two storage paths.
 // dir, when non-empty, is where the artifacts are written (one JSON blob
 // and one store subdirectory per app, recreated each run and left behind
 // for inspection); otherwise a temp directory is used and discarded.
@@ -102,8 +101,10 @@ func AblationCorpusStore(ctx context.Context, dir string, seed int64) ([]CorpusR
 		}
 		scan := time.Since(start)
 		start = time.Now()
-		a := stats.Analyze(rc)
-		pathid.BuildGraph(rc, pathid.Config{})
+		a, err := frontEnd(ctx, rc.Iter())
+		if err != nil {
+			return nil, err
+		}
 		rows = append(rows, CorpusRow{
 			Program: app.Name, Backend: "json", Runs: len(rc.Runs), Bytes: int64(n),
 			Ingest: ingest, Scan: scan, Analysis: time.Since(start), Preds: len(a.Predicates),
@@ -131,25 +132,14 @@ func AblationCorpusStore(ctx context.Context, dir string, seed int64) ([]CorpusR
 		}
 		ingest = time.Since(start)
 		start = time.Now()
-		it := s.Iter()
 		runs := 0
-		for {
-			if _, err := it.Next(); err != nil {
-				if err == io.EOF {
-					break
-				}
-				return nil, err
-			}
-			runs++
-		}
-		it.Close()
-		scan = time.Since(start)
-		start = time.Now()
-		sa, err := stats.AnalyzeStream(ctx, s.Iter(), stats.StreamOpts{})
-		if err != nil {
+		if err := trace.Each(ctx, s.Iter(), func(*trace.Run) { runs++ }); err != nil {
 			return nil, err
 		}
-		if _, err := pathid.BuildGraphStream(s.Iter(), pathid.Config{}); err != nil {
+		scan = time.Since(start)
+		start = time.Now()
+		sa, err := frontEnd(ctx, s.Iter())
+		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, CorpusRow{
@@ -158,4 +148,19 @@ func AblationCorpusStore(ctx context.Context, dir string, seed int64) ([]CorpusR
 		})
 	}
 	return rows, nil
+}
+
+// frontEnd is the pipeline's statistical front end over one run stream:
+// a single pass feeding the predicate analyzer and the transition counter,
+// then predicate ranking and graph assembly.
+func frontEnd(ctx context.Context, it trace.RunIterator) (*stats.Analysis, error) {
+	sa, tc := stats.NewStreamAnalyzer(), pathid.NewTransitionCounter()
+	if err := trace.Each(ctx, it, func(r *trace.Run) {
+		sa.Add(r)
+		tc.Add(r)
+	}); err != nil {
+		return nil, err
+	}
+	tc.Graph(pathid.Config{})
+	return sa.Finish(), nil
 }

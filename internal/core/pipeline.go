@@ -24,10 +24,6 @@ type Config struct {
 	MinPredScore float64
 	// Path tunes candidate-path construction.
 	Path pathid.Config
-	// Stream tunes the streaming statistical front-end used by the
-	// store-backed pipeline (RunStoreContext); ignored by the in-memory
-	// path. Both settings are exact — they never change the analysis.
-	Stream stats.StreamOpts
 	// Spec is the symbolic-input configuration shared with the baseline.
 	Spec *symexec.InputSpec
 
@@ -372,18 +368,36 @@ func Run(prog *bytecode.Program, corpus *trace.Corpus, cfg Config) (*Report, err
 	return RunContext(context.Background(), prog, corpus, cfg)
 }
 
-// RunContext is Run under a context. Cancelling ctx stops the
-// symbolic-execution phase cooperatively: the in-flight candidate
-// attempt(s) wind down within one scheduling quantum, the partial report
-// (statistics, completed attempts, counters so far) is still returned, and
-// Report.Cancelled is set. With cfg.Parallel > 1 the ranked candidates are
-// verified on that many concurrent slots; the resulting report is
-// deterministic and identical to the sequential one.
+// RunContext is Run under a context. Cancelling ctx during the statistical
+// front end returns ctx's error and no statistics. Cancelling it later
+// stops the symbolic-execution phase cooperatively: in-flight attempts wind
+// down within one scheduling quantum and the partial report comes back
+// with Report.Cancelled set. With cfg.Parallel > 1 the ranked candidates
+// are verified on that many concurrent slots; the report is deterministic
+// and identical to the sequential one.
 func RunContext(ctx context.Context, prog *bytecode.Program, corpus *trace.Corpus, cfg Config) (*Report, error) {
+	return runAnalysis(ctx, prog, runSource{
+		program:  corpus.Program,
+		logBytes: corpus.SizeBytes(),
+		open:     corpus.Iter,
+	}, cfg)
+}
+
+// runSource is the corpus one pipeline run analyzes. RunContext and
+// RunStoreContext differ only in the source they hand to runAnalysis.
+type runSource struct {
+	program  string                   // the program its runs were collected for
+	logBytes int                      // Report.LogBytes
+	open     func() trace.RunIterator // starts a fresh pass
+	attrs    []obs.Attr               // extra pipeline root span attributes
+}
+
+// runAnalysis is the one body behind RunContext and RunStoreContext: the
+// pipeline root span, the statistical front end (statPhase) and the
+// symbolic-execution phase (runSymPhase).
+func runAnalysis(ctx context.Context, prog *bytecode.Program, src runSource, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
-	rep := &Report{Program: prog.Name}
-	rep.Runs, rep.Locations, rep.Variables = corpus.Counts()
-	rep.LogBytes = corpus.SizeBytes()
+	rep := &Report{Program: prog.Name, LogBytes: src.logBytes}
 
 	// The "pipeline" span is the trace root. When the caller already
 	// opened one (cmd/statsym and bench wrap corpus collection plus this
@@ -391,70 +405,92 @@ func RunContext(ctx context.Context, prog *bytecode.Program, corpus *trace.Corpu
 	// it instead of opening a second root.
 	if obs.SpanFromContext(ctx) == nil {
 		var pspan *obs.Span
-		ctx, pspan = obs.StartSpan(ctx, "pipeline", obs.A("program", prog.Name))
+		attrs := append([]obs.Attr{obs.A("program", prog.Name)}, src.attrs...)
+		ctx, pspan = obs.StartSpan(ctx, "pipeline", attrs...)
 		defer func() {
 			pspan.End(obs.A("found", rep.Found()), obs.A("cancelled", rep.Cancelled),
 				obs.A("paths", rep.TotalPaths), obs.A("steps", rep.TotalSteps))
 		}()
 	}
-
-	// Statistical analysis module. With a CacheDir, the phase's output —
-	// a pure function of (corpus, path config) — is memoized on disk and
-	// replayed on warm runs whose corpus fingerprint matches; a hit skips
-	// both predicate derivation and candidate construction. Byte-exact
-	// replay, so detection is untouched (pinned by the cold-vs-warm
-	// differential tests); bypassed when the caller needs the transition
-	// graph, which the artifact does not carry.
-	statStart := time.Now()
-	var corpusFP uint64
-	if cfg.CacheDir != "" && !cfg.NeedGraph {
-		corpusFP = corpusFingerprint(corpus)
-		if analysis, pres, ok := loadStatsCache(cfg.CacheDir, corpusFP, prog.Name, cfg.Path); ok {
-			rep.Analysis, rep.PathRes, rep.StatsCached = analysis, pres, true
-			rep.StatTime = time.Since(statStart)
-			if o := obs.FromContext(ctx); o != nil {
-				o.Metrics.Counter(obs.MetricStatsCacheHits).Add(1)
-			}
-			obs.Progress(ctx, obs.A("phase", "stats"), obs.A("cached", true),
-				obs.A("predicates", len(rep.Analysis.Predicates)),
-				obs.A("candidates", len(rep.PathRes.Candidates)))
-		}
+	if err := statPhase(ctx, prog, src, cfg, rep); err != nil {
+		return rep, err
 	}
-	if !rep.StatsCached {
-		_, aspan := obs.StartSpan(ctx, "stats")
-		rep.Analysis = stats.Analyze(corpus)
-		aspan.End(obs.A("predicates", len(rep.Analysis.Predicates)))
-		obs.Progress(ctx, obs.A("phase", "stats"),
-			obs.A("predicates", len(rep.Analysis.Predicates)))
-		_, cspan := obs.StartSpan(ctx, "candidates")
-		pres, err := pathid.Build(corpus, rep.Analysis, cfg.Path)
-		rep.StatTime = time.Since(statStart)
-		if err != nil {
-			cspan.End(obs.A("error", err.Error()))
-			return rep, fmt.Errorf("core: candidate path construction: %w", err)
-		}
-		cspan.End(obs.A("candidates", len(pres.Candidates)), obs.A("detours", len(pres.Detours)))
-		obs.Progress(ctx, obs.A("phase", "candidates"),
-			obs.A("candidates", len(pres.Candidates)), obs.A("detours", len(pres.Detours)))
-		rep.PathRes = pres
-		if cfg.CacheDir != "" && !cfg.NeedGraph {
-			if o := obs.FromContext(ctx); o != nil {
-				o.Metrics.Counter(obs.MetricStatsCacheMisses).Add(1)
-			}
-			saveStatsCache(cfg.CacheDir, corpusFP, prog.Name, cfg.Path, rep.Analysis, pres)
-		}
-	}
-
 	if err := runSymPhase(ctx, prog, cfg, rep); err != nil {
 		return rep, err
 	}
 	return rep, nil
 }
 
+// statPhase is the statistical analysis module: one pass over the source
+// feeds every run to the predicate analyzer (§V-A) and the transition
+// counter (§V-B, Eq. 3) together, checking ctx before each run; then the
+// ranked predicates and the candidate paths are built. A cancellation
+// returns ctx's error and leaves the report without statistics.
+//
+// With a CacheDir, the phase's output — a pure function of (corpus, path
+// config) — is memoized on disk and replayed byte-exactly on warm runs
+// whose corpus fingerprint matches, skipping the derivation; bypassed when
+// the caller needs the transition graph, which the artifact does not carry.
+func statPhase(ctx context.Context, prog *bytecode.Program, src runSource, cfg Config, rep *Report) error {
+	statStart := time.Now()
+	memo := cfg.CacheDir != "" && !cfg.NeedGraph
+	var corpusFP uint64
+	if memo {
+		var err error
+		if corpusFP, err = corpusFingerprint(ctx, src); err != nil {
+			return fmt.Errorf("core: corpus fingerprint: %w", err)
+		}
+		if analysis, pres, ok := loadStatsCache(cfg.CacheDir, corpusFP, prog.Name, cfg.Path); ok {
+			rep.Analysis, rep.PathRes, rep.StatsCached = analysis, pres, true
+			rep.Runs, rep.Locations, rep.Variables = analysis.Runs, analysis.Locations, analysis.Variables
+			rep.StatTime = time.Since(statStart)
+			if o := obs.FromContext(ctx); o != nil {
+				o.Metrics.Counter(obs.MetricStatsCacheHits).Add(1)
+			}
+			obs.Progress(ctx, obs.A("phase", "stats"), obs.A("cached", true),
+				obs.A("predicates", len(analysis.Predicates)), obs.A("candidates", len(pres.Candidates)))
+			return nil
+		}
+	}
+
+	_, aspan := obs.StartSpan(ctx, "stats")
+	sa, tc := stats.NewStreamAnalyzer(), pathid.NewTransitionCounter()
+	if err := trace.Each(ctx, src.open(), func(run *trace.Run) {
+		sa.Add(run)
+		tc.Add(run)
+	}); err != nil {
+		aspan.End(obs.A("error", err.Error()))
+		return fmt.Errorf("core: statistical analysis: %w", err)
+	}
+	analysis := sa.Finish()
+	rep.Analysis = analysis
+	rep.Runs, rep.Locations, rep.Variables = analysis.Runs, analysis.Locations, analysis.Variables
+	aspan.End(obs.A("predicates", len(analysis.Predicates)))
+	obs.Progress(ctx, obs.A("phase", "stats"), obs.A("predicates", len(analysis.Predicates)))
+
+	_, cspan := obs.StartSpan(ctx, "candidates")
+	pres, err := pathid.BuildFromGraph(tc.Graph(cfg.Path), analysis, cfg.Path)
+	rep.StatTime = time.Since(statStart)
+	if err != nil {
+		cspan.End(obs.A("error", err.Error()))
+		return fmt.Errorf("core: candidate path construction: %w", err)
+	}
+	cspan.End(obs.A("candidates", len(pres.Candidates)), obs.A("detours", len(pres.Detours)))
+	obs.Progress(ctx, obs.A("phase", "candidates"),
+		obs.A("candidates", len(pres.Candidates)), obs.A("detours", len(pres.Detours)))
+	rep.PathRes = pres
+	if memo {
+		if o := obs.FromContext(ctx); o != nil {
+			o.Metrics.Counter(obs.MetricStatsCacheMisses).Add(1)
+		}
+		saveStatsCache(cfg.CacheDir, corpusFP, prog.Name, cfg.Path, analysis, pres)
+	}
+	return nil
+}
+
 // runSymPhase is the statistics-guided symbolic execution module — the
-// back half of the pipeline, shared by the in-memory (RunContext) and
-// store-backed (RunStoreContext) front ends. It consumes rep.PathRes and
-// fills in the attempt outcomes, totals, and SymTime.
+// back half of the pipeline. It consumes rep.PathRes and fills in the
+// attempt outcomes, totals, and SymTime.
 func runSymPhase(ctx context.Context, prog *bytecode.Program, cfg Config, rep *Report) error {
 	symStart := time.Now()
 	symCtx := ctx

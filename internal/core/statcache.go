@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/corpus"
 	"repro/internal/pathid"
@@ -15,9 +17,10 @@ import (
 
 // The statistical phase — predicate construction and candidate-path
 // building — is a pure function of (corpus, path config). When a CacheDir
-// is set, its result is memoized next to the solver-cache store and
-// replayed on warm runs whose corpus fingerprint and configuration match,
-// skipping the derivation entirely. Like the solver cache this is a
+// is set, its result is memoized next to the solver-cache store — for
+// in-memory corpora and corpus stores alike — and replayed on warm runs
+// whose corpus fingerprint and configuration match, skipping the
+// derivation entirely. Like the solver cache this is a
 // wall-clock-only optimization: a hit replays byte-exact predicates and
 // candidates (JSON float encoding round-trips exactly), so the detection
 // digest cannot move; any mismatch, corruption, or decode failure falls
@@ -27,7 +30,9 @@ import (
 // solver-cache manifest inside CacheDir.
 const statsCacheName = "statscache.json"
 
-const statsCacheVersion = 1
+// statsCacheVersion is 2: the corpus fingerprint hashes the run count
+// after the runs, so one streaming pass over any source computes it.
+const statsCacheVersion = 2
 
 // savedNode flattens a pathid.PathNode for storage: the predicate pointer
 // becomes an index into the artifact's predicate list (-1 for none), so
@@ -59,10 +64,11 @@ type statsCacheArtifact struct {
 }
 
 // corpusFingerprint hashes the corpus content — program, run annotations,
-// every record's location and observations — in one allocation-free linear
-// pass (FNV-64a). Field boundaries are length-prefixed so concatenations
-// cannot collide structurally.
-func corpusFingerprint(c *trace.Corpus) uint64 {
+// every record's location and observations, then the run count — in one
+// linear pass over the source (FNV-64a), so an in-memory corpus and a
+// store holding the same runs share one fingerprint. Field boundaries are
+// length-prefixed so concatenations cannot collide structurally.
+func corpusFingerprint(ctx context.Context, src runSource) (uint64, error) {
 	h := fnv.New64a()
 	var buf [binary.MaxVarintLen64]byte
 	num := func(v uint64) {
@@ -73,10 +79,10 @@ func corpusFingerprint(c *trace.Corpus) uint64 {
 		num(uint64(len(s)))
 		h.Write([]byte(s))
 	}
-	str(c.Program)
-	num(uint64(len(c.Runs)))
-	for i := range c.Runs {
-		r := &c.Runs[i]
+	str(src.program)
+	runs := 0
+	err := trace.Each(ctx, src.open(), func(r *trace.Run) {
+		runs++
 		num(uint64(r.ID))
 		if r.Faulty {
 			num(1)
@@ -100,26 +106,39 @@ func corpusFingerprint(c *trace.Corpus) uint64 {
 				str(o.Str)
 			}
 		}
-	}
-	return h.Sum64()
+	})
+	num(uint64(runs))
+	return h.Sum64(), err
 }
 
-// loadStatsCache replays a memoized stats phase if the artifact matches
-// (program, corpus fingerprint, path config) exactly. Any failure — no
-// file, stale key, corrupt JSON, out-of-range predicate index — is a miss.
-// The returned Result carries no Graph: callers that need it (statsym
-// -dot) set Config.NeedGraph and bypass the cache.
+// loadStatsCache replays the memoized stats phase in dir, if any (see
+// decodeStatsCache). The returned Result carries no Graph: callers that
+// need it (statsym -dot) set Config.NeedGraph and bypass the cache.
 func loadStatsCache(dir string, fp uint64, program string, pathCfg pathid.Config) (*stats.Analysis, *pathid.Result, bool) {
 	blob, err := os.ReadFile(filepath.Join(dir, statsCacheName))
 	if err != nil {
 		return nil, nil, false
 	}
+	return decodeStatsCache(blob, fp, program, pathCfg)
+}
+
+// decodeStatsCache validates a statscache.json artifact and rebuilds the
+// stats phase from it if it matches (program, corpus fingerprint, path
+// config) exactly. Anything else — stale key, corrupt JSON, a missing
+// analysis, a nil predicate, a predicate index out of range — is a miss,
+// so a hit hands downstream only non-nil predicates and candidates whose
+// nodes reference the replayed analysis.
+func decodeStatsCache(blob []byte, fp uint64, program string, pathCfg pathid.Config) (*stats.Analysis, *pathid.Result, bool) {
 	var art statsCacheArtifact
 	if json.Unmarshal(blob, &art) != nil {
 		return nil, nil, false
 	}
 	if art.Version != statsCacheVersion || art.Program != program ||
 		art.Corpus != fp || art.Path != pathCfg || art.Analysis == nil {
+		return nil, nil, false
+	}
+	preds := art.Analysis.Predicates
+	if slices.Contains(preds, nil) {
 		return nil, nil, false
 	}
 	res := &pathid.Result{
@@ -130,11 +149,11 @@ func loadStatsCache(dir string, fp uint64, program string, pathCfg pathid.Config
 		cp := &pathid.CandidatePath{AvgScore: sc.AvgScore, Detours: sc.Detours}
 		for _, n := range sc.Nodes {
 			node := pathid.PathNode{Loc: n.Loc}
+			if n.Pred < -1 || n.Pred >= len(preds) {
+				return nil, nil, false
+			}
 			if n.Pred >= 0 {
-				if n.Pred >= len(art.Analysis.Predicates) {
-					return nil, nil, false
-				}
-				node.Pred = art.Analysis.Predicates[n.Pred]
+				node.Pred = preds[n.Pred]
 			}
 			cp.Nodes = append(cp.Nodes, node)
 		}

@@ -2,14 +2,11 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"time"
 
 	"repro/internal/bytecode"
 	"repro/internal/corpus"
 	"repro/internal/obs"
-	"repro/internal/pathid"
-	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // RunStore executes the StatSym pipeline over an on-disk segmented corpus
@@ -18,69 +15,21 @@ func RunStore(prog *bytecode.Program, store *corpus.Store, cfg Config) (*Report,
 	return RunStoreContext(context.Background(), prog, store, cfg)
 }
 
-// RunStoreContext is RunContext with the statistical front-end streaming
-// straight off the corpus store: predicate construction and transition
-// mining each make one bounded-memory pass over the segments (block
-// buffer + value sketches + transition counters, never the corpus), and
-// produce byte-identical Analysis and candidate output to the in-memory
-// path — so everything downstream, including the final Report modulo
-// timings, is identical too. Report.LogBytes is the store's on-disk
-// (compressed) size here, the store-path analogue of the in-memory
-// corpus's serialized size.
+// RunStoreContext is RunContext with the statistical front end streaming
+// straight off the corpus store: one bounded-memory pass over the segments
+// (block buffer + value sketches + transition counters, never the corpus)
+// feeds the same body as the in-memory pipeline, so the Report modulo
+// timings is identical to RunContext's on the same runs. Report.LogBytes
+// is the store's on-disk (compressed) size here, the store-path analogue
+// of the in-memory corpus's serialized size.
 func RunStoreContext(ctx context.Context, prog *bytecode.Program, store *corpus.Store, cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
-	rep := &Report{Program: prog.Name}
 	if store.Obs == nil {
 		store.Obs = obs.FromContext(ctx)
 	}
-	var err error
-	rep.Runs, rep.Locations, rep.Variables, err = store.Counts()
-	if err != nil {
-		return rep, fmt.Errorf("core: corpus store: %w", err)
-	}
-	rep.LogBytes = int(store.TotalBytes())
-
-	if obs.SpanFromContext(ctx) == nil {
-		var pspan *obs.Span
-		ctx, pspan = obs.StartSpan(ctx, "pipeline", obs.A("program", prog.Name), obs.A("store", store.Dir()))
-		defer func() {
-			pspan.End(obs.A("found", rep.Found()), obs.A("cancelled", rep.Cancelled),
-				obs.A("paths", rep.TotalPaths), obs.A("steps", rep.TotalSteps))
-		}()
-	}
-
-	// Statistical analysis module: two streaming passes over the store
-	// (predicates, then transitions). Each pass decodes one block at a
-	// time; the passes share nothing but the segment files.
-	statStart := time.Now()
-	_, aspan := obs.StartSpan(ctx, "stats", obs.A("streaming", true))
-	it := store.Iter()
-	rep.Analysis, err = stats.AnalyzeStream(ctx, it, cfg.Stream)
-	it.Close()
-	if err != nil {
-		aspan.End(obs.A("error", err.Error()))
-		return rep, fmt.Errorf("core: streaming analysis: %w", err)
-	}
-	aspan.End(obs.A("predicates", len(rep.Analysis.Predicates)))
-	obs.Progress(ctx, obs.A("phase", "stats"),
-		obs.A("predicates", len(rep.Analysis.Predicates)))
-
-	_, cspan := obs.StartSpan(ctx, "candidates", obs.A("streaming", true))
-	git := store.Iter()
-	pres, err := pathid.BuildStream(git, rep.Analysis, cfg.Path)
-	git.Close()
-	rep.StatTime = time.Since(statStart)
-	if err != nil {
-		cspan.End(obs.A("error", err.Error()))
-		return rep, fmt.Errorf("core: candidate path construction: %w", err)
-	}
-	cspan.End(obs.A("candidates", len(pres.Candidates)), obs.A("detours", len(pres.Detours)))
-	obs.Progress(ctx, obs.A("phase", "candidates"),
-		obs.A("candidates", len(pres.Candidates)), obs.A("detours", len(pres.Detours)))
-	rep.PathRes = pres
-
-	if err := runSymPhase(ctx, prog, cfg, rep); err != nil {
-		return rep, err
-	}
-	return rep, nil
+	return runAnalysis(ctx, prog, runSource{
+		program:  store.Program(),
+		logBytes: int(store.TotalBytes()),
+		open:     func() trace.RunIterator { return store.Iter() },
+		attrs:    []obs.Attr{obs.A("store", store.Dir())},
+	}, cfg)
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/apps"
@@ -90,44 +92,253 @@ func renderGraph(g *pathid.Graph) []byte {
 	return buf.Bytes()
 }
 
+// The reference oracle: predicate construction as the paper states it —
+// collect every sample of every (location, variable) into slices, then
+// scan the midpoints between adjacent distinct values of the sorted merged
+// sample. It shares no code with the streaming analyzer (value sketches,
+// suffix sums), so agreement pins the analyzer's arithmetic.
+
+// sampleSet accumulates a variable's observed values at one location.
+type sampleSet struct {
+	loc      trace.Location
+	name     string
+	class    trace.VarClass
+	isString bool
+	correct  []int64
+	faulty   []int64
+}
+
+// referenceAnalyze runs the reference predicate construction and ranking
+// over a corpus.
+func referenceAnalyze(corpus *trace.Corpus) *stats.Analysis {
+	a := &stats.Analysis{}
+	a.Runs, a.Locations, a.Variables = corpus.Counts()
+
+	samples := make(map[string]*sampleSet)
+	order := make([]string, 0, 64) // deterministic iteration
+	collect := func(run *trace.Run, faulty bool) {
+		for _, rec := range run.Records {
+			for _, ob := range rec.Obs {
+				key := rec.Loc.String() + "/" + ob.Var
+				ss, ok := samples[key]
+				if !ok {
+					ss = &sampleSet{
+						loc:      rec.Loc,
+						name:     ob.Var,
+						class:    ob.Class,
+						isString: ob.Kind == trace.ValueString,
+					}
+					samples[key] = ss
+					order = append(order, key)
+				}
+				if faulty {
+					ss.faulty = append(ss.faulty, ob.Numeric())
+				} else {
+					ss.correct = append(ss.correct, ob.Numeric())
+				}
+			}
+		}
+	}
+	for i := range corpus.Runs {
+		run := &corpus.Runs[i]
+		collect(run, run.Faulty)
+	}
+	for _, key := range order {
+		if p := buildPredicate(samples[key]); p != nil {
+			a.Predicates = append(a.Predicates, p)
+		}
+	}
+	rankPredicates(a.Predicates)
+	return a
+}
+
+// rankPredicates sorts by score, then by sample count, then by name for
+// determinism. PredNever predicates rank below value predicates of equal
+// score (they give the symbolic executor no constraint to use). The final
+// tie-break is the unique (location, variable) key, so the ranking depends
+// only on the predicate multiset, never on construction order.
+func rankPredicates(preds []*stats.Predicate) {
+	sort.SliceStable(preds, func(i, j int) bool {
+		pi, pj := preds[i], preds[j]
+		if pi.Score != pj.Score {
+			return pi.Score > pj.Score
+		}
+		if (pi.Op == stats.PredNever) != (pj.Op == stats.PredNever) {
+			return pj.Op == stats.PredNever
+		}
+		ni, nj := pi.CountC+pi.CountF, pj.CountC+pj.CountF
+		if ni != nj {
+			return ni > nj
+		}
+		return pi.Key() < pj.Key()
+	})
+}
+
+// buildPredicate constructs the optimal threshold predicate for one
+// sample set by minimizing the quantification error
+// E = |P ∩ C| + |Pᶜ ∩ F| (Eq. 1) over all candidate thresholds and both
+// directions, then scores it with Eq. 2.
+func buildPredicate(ss *sampleSet) *stats.Predicate {
+	nc, nf := len(ss.correct), len(ss.faulty)
+	if nc == 0 && nf == 0 {
+		return nil
+	}
+	base := &stats.Predicate{
+		Loc:      ss.loc,
+		Var:      ss.name,
+		Class:    ss.class,
+		IsString: ss.isString,
+		CountC:   nc,
+		CountF:   nf,
+	}
+	if nf == 0 {
+		// The location is only reached by correct executions — the
+		// predicate is unsatisfiable in faulty runs ("< -infinity",
+		// Table V P7–P10). P(x|C)=0 and P(x|F) is vacuously 1.
+		base.Op = stats.PredNever
+		base.Score = 1.0
+		base.Err = 0
+		return base
+	}
+	if nc == 0 {
+		// Only faulty runs reach here; any always-true predicate
+		// separates perfectly. Use value ≥ min(F) − ½ to stay informative.
+		minF := ss.faulty[0]
+		for _, v := range ss.faulty {
+			if v < minF {
+				minF = v
+			}
+		}
+		base.Op = stats.PredGe
+		base.Threshold = float64(minF) - 0.5
+		base.Score = 1.0
+		base.Err = 0
+		return base
+	}
+
+	c := append([]int64(nil), ss.correct...)
+	f := append([]int64(nil), ss.faulty...)
+	sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
+	sort.Slice(f, func(i, j int) bool { return f[i] < f[j] })
+
+	// Candidate thresholds: midpoints between adjacent distinct values of
+	// the merged sample.
+	merged := make([]int64, 0, len(c)+len(f))
+	merged = append(merged, c...)
+	merged = append(merged, f...)
+	sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
+	thresholds := make([]float64, 0, len(merged))
+	for i := 1; i < len(merged); i++ {
+		if merged[i] != merged[i-1] {
+			thresholds = append(thresholds, float64(merged[i-1])+float64(merged[i]-merged[i-1])/2)
+		}
+	}
+	if len(thresholds) == 0 {
+		// All values identical: no separating threshold exists; the best
+		// predicate is uninformative (score 0, covered by a degenerate
+		// ≥ threshold just below the common value).
+		base.Op = stats.PredGe
+		base.Threshold = float64(merged[0]) - 0.5
+		base.Score = 0
+		base.Err = nc // every correct sample satisfies it
+		return base
+	}
+
+	countGE := func(sorted []int64, t float64) int {
+		// Number of values v with float64(v) >= t.
+		idx := sort.Search(len(sorted), func(i int) bool { return float64(sorted[i]) >= t })
+		return len(sorted) - idx
+	}
+
+	bestErr := math.MaxInt
+	var bestOp stats.PredOp
+	var bestT float64
+	for _, t := range thresholds {
+		cGE := countGE(c, t)
+		fGE := countGE(f, t)
+		// Direction x = {a ≥ t}: E = |C ∩ P| + |F ∩ Pᶜ|.
+		if e := cGE + (nf - fGE); e < bestErr {
+			bestErr, bestOp, bestT = e, stats.PredGe, t
+		}
+		// Direction x = {a ≤ t}: E = |C ∩ P| + |F ∩ Pᶜ|.
+		if e := (nc - cGE) + fGE; e < bestErr {
+			bestErr, bestOp, bestT = e, stats.PredLe, t
+		}
+	}
+	base.Op = bestOp
+	base.Threshold = bestT
+	base.Err = bestErr
+
+	// Eq. 2: score = |P(x|C) − P(x|F)|.
+	cGE := countGE(c, bestT)
+	fGE := countGE(f, bestT)
+	var pc, pf float64
+	if bestOp == stats.PredGe {
+		pc = float64(cGE) / float64(nc)
+		pf = float64(fGE) / float64(nf)
+	} else {
+		pc = float64(nc-cGE) / float64(nc)
+		pf = float64(nf-fGE) / float64(nf)
+	}
+	base.Score = math.Abs(pc - pf)
+	return base
+}
+
+// frontEnd runs the pipeline's statistical front end over a run stream:
+// one pass feeding the predicate analyzer and the transition counter.
+func frontEnd(t *testing.T, it trace.RunIterator) (*stats.Analysis, *pathid.Graph) {
+	t.Helper()
+	sa, tc := stats.NewStreamAnalyzer(), pathid.NewTransitionCounter()
+	if err := trace.Each(context.Background(), it, func(r *trace.Run) {
+		sa.Add(r)
+		tc.Add(r)
+	}); err != nil {
+		t.Fatalf("front-end pass: %v", err)
+	}
+	return sa.Finish(), tc.Graph(pathid.Config{})
+}
+
+// requireSameAnalysis fails unless got is byte-identical to the reference.
+func requireSameAnalysis(t *testing.T, what string, got, want *stats.Analysis) {
+	t.Helper()
+	if !bytes.Equal(renderAnalysis(got), renderAnalysis(want)) {
+		t.Errorf("%s predicate ranking differs from the reference:\n--- %s ---\n%s--- reference ---\n%s",
+			what, what, renderAnalysis(got), renderAnalysis(want))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s Analysis struct differs from the reference beyond rendering", what)
+	}
+}
+
 // TestStreamingDifferential is the acceptance-criteria pin: for all five
-// bundled apps, streaming analysis over the on-disk store must produce
-// byte-identical predicate rankings and transition graphs to the in-memory
-// path, with the reader's peak buffer bounded by the block size — never
-// the corpus.
+// bundled apps, the single-pass front end — over the on-disk store and
+// over the in-memory corpus's iterator — and stats.Analyze must produce
+// byte-identical predicate rankings to the reference oracle, and
+// transition graphs identical to BuildGraph, with the store reader's peak
+// buffer bounded by the block size — never the corpus.
 func TestStreamingDifferential(t *testing.T) {
 	for _, app := range fiveApps {
 		t.Run(app, func(t *testing.T) {
 			c := buildAppCorpus(t, app)
 			s := ingestApp(t, c, diffOpts)
 
-			// In-memory reference path.
-			wantA := stats.Analyze(c)
+			wantA := referenceAnalyze(c)
 			wantG := pathid.BuildGraph(c, pathid.Config{})
 
-			// Streaming path over the store.
 			it := s.Iter()
-			gotA, err := stats.AnalyzeStream(context.Background(), it, stats.StreamOpts{})
-			if err != nil {
-				t.Fatalf("AnalyzeStream: %v", err)
-			}
-			it.Close()
-			it2 := s.Iter()
-			gotG, err := pathid.BuildGraphStream(it2, pathid.Config{})
-			if err != nil {
-				t.Fatalf("BuildGraphStream: %v", err)
-			}
-
-			if !bytes.Equal(renderAnalysis(gotA), renderAnalysis(wantA)) {
-				t.Errorf("streaming predicate ranking differs from in-memory:\n--- streaming ---\n%s--- in-memory ---\n%s",
-					renderAnalysis(gotA), renderAnalysis(wantA))
-			}
-			if !reflect.DeepEqual(gotA, wantA) {
-				t.Errorf("Analysis structs differ beyond rendering")
-			}
-			if !bytes.Equal(renderGraph(gotG), renderGraph(wantG)) {
-				t.Errorf("streaming transition graph differs from in-memory:\n--- streaming ---\n%s--- in-memory ---\n%s",
-					renderGraph(gotG), renderGraph(wantG))
+			gotA, gotG := frontEnd(t, it)
+			memA, memG := frontEnd(t, c.Iter())
+			requireSameAnalysis(t, "store", gotA, wantA)
+			requireSameAnalysis(t, "corpus iterator", memA, wantA)
+			requireSameAnalysis(t, "stats.Analyze", stats.Analyze(c), wantA)
+			for _, g := range []struct {
+				what string
+				g    *pathid.Graph
+			}{{"store", gotG}, {"corpus iterator", memG}} {
+				if !bytes.Equal(renderGraph(g.g), renderGraph(wantG)) {
+					t.Errorf("%s transition graph differs from BuildGraph:\n--- %s ---\n%s--- BuildGraph ---\n%s",
+						g.what, g.what, renderGraph(g.g), renderGraph(wantG))
+				}
 			}
 
 			// Bounded memory: the iterator never buffered more than one
@@ -138,13 +349,14 @@ func TestStreamingDifferential(t *testing.T) {
 					maxRun = n
 				}
 			}
-			if max := it2.MaxBlockBytes(); max > diffOpts.BlockBytes+maxRun {
+			if max := it.MaxBlockBytes(); max > diffOpts.BlockBytes+maxRun {
 				t.Errorf("peak block buffer %d exceeds BlockBytes %d + largest run %d", max, diffOpts.BlockBytes, maxRun)
 			}
-			it2.Close()
+			it.Close()
 
-			// Candidate construction downstream of the shared graph must
-			// agree too (BuildFromGraph is the common back half).
+			// Candidate construction downstream of the streamed graph must
+			// agree with the reference analysis's too (BuildFromGraph is
+			// the common back half).
 			wantR, wantErr := pathid.Build(c, wantA, pathid.Config{})
 			gotR, gotErr := pathid.BuildFromGraph(gotG, gotA, pathid.Config{})
 			if (wantErr == nil) != (gotErr == nil) {
@@ -164,45 +376,44 @@ func TestStreamingDifferential(t *testing.T) {
 	}
 }
 
-// TestStreamingFallbackMode forces every sketch to spill to exact raw mode
-// (MaxDistinct=1) and checks the output is still byte-identical — the cap
-// trades memory layout, never results.
+// TestStreamingFallbackMode drives one variable past
+// stats.DefaultMaxDistinct distinct values, so its counting sketch spills
+// to the exact raw-sample fallback mid-stream, and checks the streamed
+// analysis is still byte-identical to the reference — the cap trades
+// memory layout, never results.
 func TestStreamingFallbackMode(t *testing.T) {
-	c := buildAppCorpus(t, "polymorph")
-	s := ingestApp(t, c, diffOpts)
-
-	want := stats.Analyze(c)
-	sa := stats.NewStreamAnalyzer(stats.StreamOpts{MaxDistinct: 1})
-	it := s.Iter()
-	for {
-		run, err := it.Next()
-		if err != nil {
-			break
+	enter := trace.Location{Func: "f", Kind: trace.EventEnter}
+	c := &trace.Corpus{Program: "synthetic"}
+	// v takes distinct values per class, each twice, so the raw fallback
+	// must count repeats too; the classes overlap so the best threshold is
+	// not trivial. w repeats a few values and stays in sketch mode.
+	distinct := stats.DefaultMaxDistinct + 500
+	for i := 0; i < 4*distinct; i++ {
+		faulty := i%2 == 1
+		v := int64((i / 2) % distinct)
+		if faulty {
+			v += int64(distinct / 3)
 		}
-		sa.Add(run)
+		c.Runs = append(c.Runs, trace.Run{
+			ID:     i,
+			Faulty: faulty,
+			Records: []trace.Record{{
+				Loc: enter,
+				Obs: []trace.Observation{
+					{Var: "v", Class: trace.ClassParam, Kind: trace.ValueInt, Int: v},
+					{Var: "w", Class: trace.ClassParam, Kind: trace.ValueInt, Int: int64(i % 7)},
+				},
+			}},
+		})
 	}
+	s := ingestApp(t, c, corpus.Options{})
+	want := referenceAnalyze(c)
+	if len(want.Predicates) != 2 {
+		t.Fatalf("reference built %d predicates, want 2", len(want.Predicates))
+	}
+	it := s.Iter()
+	got, _ := frontEnd(t, it)
 	it.Close()
-	if sa.Fallbacks() == 0 {
-		t.Fatalf("MaxDistinct=1 forced no fallbacks — cap not exercised")
-	}
-	got := sa.Finish()
-	if !bytes.Equal(renderAnalysis(got), renderAnalysis(want)) {
-		t.Errorf("fallback-mode analysis differs from in-memory:\n--- fallback ---\n%s--- in-memory ---\n%s",
-			renderAnalysis(got), renderAnalysis(want))
-	}
-}
-
-// TestStreamingFromCorpusIter checks the in-memory Corpus satisfies the
-// same iterator seam (trace.RunIterator) with identical results.
-func TestStreamingFromCorpusIter(t *testing.T) {
-	c := buildAppCorpus(t, "grep")
-	want := stats.Analyze(c)
-	got, err := stats.AnalyzeStream(context.Background(), c.Iter(), stats.StreamOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(renderAnalysis(got), renderAnalysis(want)) {
-		t.Errorf("corpus-iterator streaming differs from in-memory")
-	}
-	var _ trace.RunIterator = c.Iter()
+	requireSameAnalysis(t, "store", got, want)
+	requireSameAnalysis(t, "stats.Analyze", stats.Analyze(c), want)
 }

@@ -97,12 +97,8 @@ type Graph struct {
 	Failure trace.Location
 }
 
-// BuildGraph mines transitions from the faulty runs of the corpus.
-// Locations are interned to dense ids once per corpus, so transition
-// counting keys on [2]int32 (string keys cost two allocations per logged
-// transition — the dominant cost of graph construction on large corpora).
-// The counting lives in TransitionCounter (stream.go), shared with the
-// streaming path.
+// BuildGraph mines transitions from the faulty runs of an in-memory corpus
+// through a TransitionCounter (stream.go).
 func BuildGraph(corpus *trace.Corpus, cfg Config) *Graph {
 	tc := NewTransitionCounter()
 	for i := range corpus.Runs {
@@ -193,7 +189,8 @@ func Build(corpus *trace.Corpus, analysis *stats.Analysis, cfg Config) (*Result,
 
 // BuildFromGraph runs skeleton extraction, detour identification, and
 // candidate joining on an already-mined transition graph (the steps after
-// Eq. 3). It is the shared back half of Build and BuildStream.
+// Eq. 3). It is the back half of Build and of the pipeline's single-pass
+// front end.
 func BuildFromGraph(g *Graph, analysis *stats.Analysis, cfg Config) (*Result, error) {
 	if len(g.Nodes) == 0 {
 		return nil, fmt.Errorf("pathid: no faulty-run locations in corpus")

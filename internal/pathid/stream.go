@@ -1,20 +1,20 @@
 package pathid
 
 import (
-	"io"
 	"sort"
 
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
 // TransitionCounter accumulates the Eq. 3 transition statistics one run at
 // a time: interned location occurrence counts, ordered-pair counts, final
 // locations, and fault-function votes. It holds counters only — never the
-// runs — so graph mining over an on-disk corpus is a bounded-memory pass.
-// Feeding it runs in corpus order reproduces BuildGraph exactly (location
-// IDs are assigned in first-seen order, and graph assembly sorts
-// everything else).
+// runs — so graph mining over an on-disk corpus is a bounded-memory pass,
+// and the pipeline feeds it in the same pass as the predicate analyzer.
+// Locations are interned to dense ids in first-seen order, so pair counting
+// keys on [2]int32 (string keys cost two allocations per logged transition
+// — the dominant cost of graph construction on large corpora); graph
+// assembly sorts everything else, so the graph depends only on run order.
 type TransitionCounter struct {
 	ids        map[trace.Location]int32
 	nodes      []trace.Location
@@ -22,7 +22,6 @@ type TransitionCounter struct {
 	pair       map[[2]int32]int
 	finals     map[trace.Location]int
 	faultFuncs map[string]int
-	runs       int // faulty runs folded in
 }
 
 // NewTransitionCounter returns an empty counter.
@@ -52,7 +51,6 @@ func (t *TransitionCounter) Add(run *trace.Run) {
 	if !run.Faulty {
 		return
 	}
-	t.runs++
 	if run.FaultFunc != "" {
 		t.faultFuncs[run.FaultFunc]++
 	}
@@ -70,12 +68,8 @@ func (t *TransitionCounter) Add(run *trace.Run) {
 	}
 }
 
-// Runs reports the number of faulty runs folded in.
-func (t *TransitionCounter) Runs() int { return t.runs }
-
-// Graph assembles the transition graph from the accumulated counters —
-// the second half of BuildGraph, shared by the in-memory and streaming
-// paths. Deterministic: successor lists and entries are sorted, and the
+// Graph assembles the transition graph from the accumulated counters.
+// Deterministic: successor lists and entries are sorted, and the
 // failure-point tie-breaks are value-based.
 func (t *TransitionCounter) Graph(cfg Config) *Graph {
 	g := &Graph{Nodes: t.nodes, Succ: make(map[trace.Location][]Edge)}
@@ -134,29 +128,4 @@ func (t *TransitionCounter) Graph(cfg Config) *Graph {
 		}
 	}
 	return g
-}
-
-// BuildGraphStream mines the transition graph from a run iterator in one
-// pass, byte-identical to BuildGraph on the materialized corpus.
-func BuildGraphStream(it trace.RunIterator, cfg Config) (*Graph, error) {
-	tc := NewTransitionCounter()
-	for {
-		run, err := it.Next()
-		if err == io.EOF {
-			return tc.Graph(cfg), nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		tc.Add(run)
-	}
-}
-
-// BuildStream runs the complete §V-B pipeline over a run iterator.
-func BuildStream(it trace.RunIterator, analysis *stats.Analysis, cfg Config) (*Result, error) {
-	g, err := BuildGraphStream(it, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return BuildFromGraph(g, analysis, cfg)
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/live"
 	"repro/internal/report"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -284,7 +285,7 @@ func (s *Service) execute(ctx context.Context, j *Job) (*core.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	in := core.JobInputs{Prog: app.Program(), Spec: app.Spec}
+	var c *trace.Corpus
 	if name := j.Spec.Corpus.Name; name != "" {
 		sh, err := s.corpora.Get(name)
 		if err != nil {
@@ -293,14 +294,12 @@ func (s *Service) execute(ctx context.Context, j *Job) (*core.Report, error) {
 		if sh.Program() != app.Name {
 			return nil, fmt.Errorf("corpus %q holds runs of %q, job analyzes %q", name, sh.Program(), app.Name)
 		}
-		c, err := sh.Materialize()
-		if err != nil {
+		if c, err = sh.Materialize(); err != nil {
 			return nil, err
 		}
-		in.Corpus = c
 	} else {
 		cs := j.Spec.Corpus
-		c, err := workload.BuildCorpusCtx(ctx, app, workload.Options{
+		c, err = workload.BuildCorpusCtx(ctx, app, workload.Options{
 			SampleRate: cs.rate(),
 			Seed:       cs.Seed,
 			Correct:    cs.Runs,
@@ -309,10 +308,10 @@ func (s *Service) execute(ctx context.Context, j *Job) (*core.Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		in.Corpus = c
 	}
 
 	cfg := core.Config{
+		Spec:                 app.Spec,
 		MaxStates:            j.Spec.Budgets.MaxStates,
 		PerCandidateMaxSteps: j.Spec.Budgets.MaxSteps,
 		PerCandidateTimeout:  dur(j.Spec.Budgets.CandidateTimeoutMS),
@@ -329,7 +328,7 @@ func (s *Service) execute(ctx context.Context, j *Job) (*core.Report, error) {
 		cfg.UnitDeadline = s.cfg.UnitDeadline
 		cfg.DispatchLog = s.cfg.DispatchLog
 	}
-	return core.RunJob(obs.NewContext(ctx, j.obs), in, cfg)
+	return core.RunContext(obs.NewContext(ctx, j.obs), app.Program(), c, cfg)
 }
 
 // setTerminal moves j to a terminal state, persists the transition, and

@@ -4,7 +4,7 @@
 // sharded segment stores, per-job live progress hubs, and the HTTP/JSON
 // API that exposes the whole job lifecycle (submit, status, SSE events,
 // report, cancel). The pipeline itself is untouched — every job runs
-// through core.RunJob, so an API-submitted job is detection-digest
+// through core.RunContext, so an API-submitted job is detection-digest
 // byte-identical to the equivalent statsym CLI invocation.
 package service
 

@@ -1,33 +1,18 @@
 package stats
 
 import (
-	"context"
-	"io"
 	"math"
 	"sort"
 
 	"repro/internal/trace"
 )
 
-// StreamOpts tunes streaming analysis. The zero value uses the defaults.
-type StreamOpts struct {
-	// MaxDistinct caps each per-(location, variable, class) counting
-	// sketch: past this many distinct values the accumulator falls back to
-	// an exact raw-sample slice (the sketch's map overhead only pays for
-	// itself while values repeat). Both modes are exact, so the analysis
-	// output is identical either way; the cap only trades memory layout.
-	MaxDistinct int
-}
-
-// DefaultMaxDistinct is the sketch cap when StreamOpts.MaxDistinct is zero.
+// DefaultMaxDistinct caps each per-(location, variable, class) counting
+// sketch: past this many distinct values the accumulator falls back to an
+// exact raw-sample slice (the sketch's map overhead only pays for itself
+// while values repeat). Both modes are exact, so the cap never changes the
+// analysis, only its memory layout.
 const DefaultMaxDistinct = 1 << 14
-
-func (o StreamOpts) maxDistinct() int {
-	if o.MaxDistinct <= 0 {
-		return DefaultMaxDistinct
-	}
-	return o.MaxDistinct
-}
 
 // valueCounts accumulates one class's numeric samples for one (location,
 // variable) pair: a value→count map while the distinct-value set stays
@@ -39,21 +24,19 @@ type valueCounts struct {
 	n      int
 }
 
-// add records one sample, returning true on the add that spills the sketch
-// to raw mode.
-func (v *valueCounts) add(x int64, maxDistinct int) bool {
+// add records one sample.
+func (v *valueCounts) add(x int64) {
+	v.n++
 	if v.raw != nil {
 		v.raw = append(v.raw, x)
-		v.n++
-		return false
+		return
 	}
 	if v.counts == nil {
 		v.counts = make(map[int64]int)
 	}
 	v.counts[x]++
-	v.n++
-	if len(v.counts) <= maxDistinct {
-		return false
+	if len(v.counts) <= DefaultMaxDistinct {
+		return
 	}
 	raw := make([]int64, 0, v.n)
 	for val, c := range v.counts {
@@ -62,10 +45,7 @@ func (v *valueCounts) add(x int64, maxDistinct int) bool {
 		}
 	}
 	v.raw, v.counts = raw, nil
-	return true
 }
-
-func (v *valueCounts) total() int { return v.n }
 
 // distinct returns the sorted distinct values and their multiplicities.
 func (v *valueCounts) distinct() (vals []int64, mult []int) {
@@ -94,7 +74,7 @@ func (v *valueCounts) distinct() (vals []int64, mult []int) {
 	return vals, mult
 }
 
-// streamSample is the streaming counterpart of sampleSet.
+// streamSample accumulates one (location, variable) pair's samples.
 type streamSample struct {
 	loc      trace.Location
 	name     string
@@ -104,34 +84,32 @@ type streamSample struct {
 	faulty   valueCounts
 }
 
-// StreamAnalyzer consumes runs one at a time and produces the same
-// Analysis as the in-memory Analyze — byte-identical predicates in the
-// identical ranking — while holding only per-(location, variable) value
-// sketches, never the runs themselves.
+// StreamAnalyzer is the statistical front end: it consumes runs one at a
+// time and holds only per-(location, variable) value sketches, never the
+// runs themselves, so one pass over any trace.RunIterator — an in-memory
+// corpus or an on-disk store — yields the ranked predicates.
 type StreamAnalyzer struct {
-	opts      StreamOpts
-	samples   map[string]*streamSample
-	order     []string
-	runs      int
-	locs      map[trace.Location]struct{}
-	vars      map[string]struct{}
-	fallbacks int
+	samples map[string]*streamSample
+	order   []string
+	runs    int
+	locs    map[trace.Location]struct{}
+	vars    map[string]struct{}
 }
 
 // NewStreamAnalyzer returns an empty analyzer.
-func NewStreamAnalyzer(opts StreamOpts) *StreamAnalyzer {
+func NewStreamAnalyzer() *StreamAnalyzer {
 	return &StreamAnalyzer{
-		opts:    opts,
 		samples: make(map[string]*streamSample),
 		locs:    make(map[trace.Location]struct{}),
 		vars:    make(map[string]struct{}),
 	}
 }
 
-// Add folds one run into the accumulators. The run is not retained.
+// Add folds one run into the accumulators — steps (a)/(b) of Fig. 5:
+// split runs by outcome and accumulate numeric samples per (location,
+// variable). The run is not retained.
 func (a *StreamAnalyzer) Add(run *trace.Run) {
 	a.runs++
-	maxDistinct := a.opts.maxDistinct()
 	for _, rec := range run.Records {
 		a.locs[rec.Loc] = struct{}{}
 		for _, ob := range rec.Obs {
@@ -148,23 +126,19 @@ func (a *StreamAnalyzer) Add(run *trace.Run) {
 				a.samples[key] = ss
 				a.order = append(a.order, key)
 			}
-			var spilled bool
 			if run.Faulty {
-				spilled = ss.faulty.add(ob.Numeric(), maxDistinct)
+				ss.faulty.add(ob.Numeric())
 			} else {
-				spilled = ss.correct.add(ob.Numeric(), maxDistinct)
-			}
-			if spilled {
-				a.fallbacks++
+				ss.correct.add(ob.Numeric())
 			}
 		}
 	}
 }
 
-// Fallbacks reports how many sketches spilled to exact raw mode.
-func (a *StreamAnalyzer) Fallbacks() int { return a.fallbacks }
-
-// Finish builds and ranks the predicates. The analyzer may not be reused.
+// Finish builds and ranks the predicates — steps (c)/(d). Each sample set
+// is independent, so construction fans out over a bounded worker pool;
+// results land in first-seen key order, and the stable ranking sees the
+// same sequence whatever GOMAXPROCS is. The analyzer may not be reused.
 func (a *StreamAnalyzer) Finish() *Analysis {
 	out := &Analysis{Runs: a.runs, Locations: len(a.locs), Variables: len(a.vars)}
 	built := buildParallel(len(a.order), func(i int) *Predicate {
@@ -179,36 +153,15 @@ func (a *StreamAnalyzer) Finish() *Analysis {
 	return out
 }
 
-// AnalyzeStream runs predicate construction over a run iterator in one
-// bounded-memory pass: peak memory is the iterator's block buffer plus the
-// value sketches, independent of corpus size. Output is byte-identical to
-// Analyze on the materialized corpus (pinned by the differential tests).
-func AnalyzeStream(ctx context.Context, it trace.RunIterator, opts StreamOpts) (*Analysis, error) {
-	a := NewStreamAnalyzer(opts)
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		run, err := it.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		a.Add(run)
-	}
-	return a.Finish(), nil
-}
-
-// buildPredicateDist is buildPredicate on the distinct-value
-// representation. Every arithmetic step mirrors the slice version exactly
-// — thresholds from adjacent distinct values, counts via the same
-// float64-compare search, the same strict-improvement scan in the same
-// ascending order — so the resulting predicate is bit-equal, not merely
-// equivalent.
+// buildPredicateDist constructs the optimal threshold predicate for one
+// (location, variable) pair by minimizing the quantification error
+// E = |P ∩ C| + |Pᶜ ∩ F| (Eq. 1) over every midpoint between adjacent
+// distinct values and both directions, then scores it with Eq. 2. It works
+// on sorted distinct values with suffix-summed multiplicities; the
+// differential tests in internal/corpus pin it bit-equal to the
+// slice-of-samples reference formulation.
 func buildPredicateDist(ss *streamSample) *Predicate {
-	nc, nf := ss.correct.total(), ss.faulty.total()
+	nc, nf := ss.correct.n, ss.faulty.n
 	if nc == 0 && nf == 0 {
 		return nil
 	}
@@ -221,6 +174,9 @@ func buildPredicateDist(ss *streamSample) *Predicate {
 		CountF:   nf,
 	}
 	if nf == 0 {
+		// The location is only reached by correct executions — the
+		// predicate is unsatisfiable in faulty runs ("< -infinity",
+		// Table V P7–P10). P(x|C)=0 and P(x|F) is vacuously 1.
 		base.Op = PredNever
 		base.Score = 1.0
 		base.Err = 0
@@ -228,6 +184,8 @@ func buildPredicateDist(ss *streamSample) *Predicate {
 	}
 	fVals, fMult := ss.faulty.distinct()
 	if nc == 0 {
+		// Only faulty runs reach here; any always-true predicate
+		// separates perfectly. Use value ≥ min(F) − ½ to stay informative.
 		base.Op = PredGe
 		base.Threshold = float64(fVals[0]) - 0.5
 		base.Score = 1.0
@@ -243,6 +201,9 @@ func buildPredicateDist(ss *streamSample) *Predicate {
 	// The distinct values of the merged multiset are the sorted union.
 	union := mergeDistinct(cVals, fVals)
 	if len(union) == 1 {
+		// All values identical: no separating threshold exists; the best
+		// predicate is uninformative (score 0, covered by a degenerate
+		// ≥ threshold just below the common value).
 		base.Op = PredGe
 		base.Threshold = float64(union[0]) - 0.5
 		base.Score = 0
@@ -265,6 +226,7 @@ func buildPredicateDist(ss *streamSample) *Predicate {
 		t := float64(union[i-1]) + float64(union[i]-union[i-1])/2
 		cGE := countGE(cVals, cSuf, t)
 		fGE := countGE(fVals, fSuf, t)
+		// Direction x = {a ≥ t}, then {a ≤ t}: E = |C ∩ P| + |F ∩ Pᶜ|.
 		if e := cGE + (nf - fGE); e < bestErr {
 			bestErr, bestOp, bestT = e, PredGe, t
 		}
@@ -276,6 +238,7 @@ func buildPredicateDist(ss *streamSample) *Predicate {
 	base.Threshold = bestT
 	base.Err = bestErr
 
+	// Eq. 2: score = |P(x|C) − P(x|F)|.
 	cGE := countGE(cVals, cSuf, bestT)
 	fGE := countGE(fVals, fSuf, bestT)
 	var pc, pf float64

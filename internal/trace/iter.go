@@ -1,6 +1,9 @@
 package trace
 
-import "io"
+import (
+	"context"
+	"io"
+)
 
 // RunIterator is a pull-based stream of runs: Next returns runs in corpus
 // order and io.EOF after the last one. It is the seam between the
@@ -28,3 +31,26 @@ func (it *corpusIter) Next() (*Run, error) {
 
 // Iter returns an iterator over the corpus's runs in order.
 func (c *Corpus) Iter() RunIterator { return &corpusIter{c: c} }
+
+// Each feeds every remaining run of it to fn in order, checking ctx before
+// each one, and closes it if it is an io.Closer. It returns nil at the end
+// of the stream, ctx's error once ctx is done, or the iterator's first
+// error.
+func Each(ctx context.Context, it RunIterator, fn func(*Run)) error {
+	if c, ok := it.(io.Closer); ok {
+		defer c.Close()
+	}
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		run, err := it.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		fn(run)
+	}
+}
