@@ -6,10 +6,12 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/bytecode"
 	"repro/internal/dispatch"
 	"repro/internal/symexec/snapshot"
 	"repro/internal/trace"
@@ -310,5 +312,66 @@ func TestDispatchLogWritten(t *testing.T) {
 	}
 	if merges != 1 {
 		t.Fatalf("dispatch log has %d merge lines, want 1", merges)
+	}
+}
+
+// TestDispatchWorkerSurvivesPanickingUnit: an attempt unit that decodes
+// cleanly but carries one corrupted store.l operand faults the executor
+// with an index out of range. The worker must answer it with an error frame
+// and then serve the next, good unit on the same connection correctly.
+func TestDispatchWorkerSurvivesPanickingUnit(t *testing.T) {
+	app, corpus := dispatchCorpus(t, "polymorph")
+	cfg := Config{Spec: app.Spec}
+	rep, err := Run(app.Program(), corpus, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.PathRes.Candidates) == 0 || rep.Vuln == nil {
+		t.Fatal("reference run found no candidate or no vulnerability")
+	}
+	cand := rep.PathRes.Candidates[rep.CandidateUsed-1]
+
+	// Corrupt the first store.l of main, which every attempt executes.
+	prog := *app.Program()
+	prog.Funcs = append([]*bytecode.Fn(nil), prog.Funcs...)
+	mainFn := *prog.Funcs[prog.MainIndex]
+	mainFn.Code = append([]bytecode.Instr(nil), mainFn.Code...)
+	corrupted := false
+	for i, in := range mainFn.Code {
+		if in.Op == bytecode.OpStoreLocal {
+			mainFn.Code[i].A = 1 << 20
+			corrupted = true
+			break
+		}
+	}
+	if !corrupted {
+		t.Fatal("main has no store.l to corrupt")
+	}
+	prog.Funcs[prog.MainIndex] = &mainFn
+	bad := EncodeAttemptUnit(&prog, cand, rep.CandidateUsed, cfg)
+	if _, _, _, _, err := DecodeAttemptUnit(bad); err != nil {
+		t.Fatalf("corrupted unit must decode cleanly: %v", err)
+	}
+	good := EncodeAttemptUnit(app.Program(), cand, rep.CandidateUsed, cfg)
+
+	c, err := dispatch.Dial(startCoreWorker(t, WorkerConfig{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Do(snapshot.FrameAttemptUnit, bad, time.Minute); err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("corrupted unit: err = %v, want a panic reported as a unit error", err)
+	}
+	out, err := c.Do(snapshot.FrameAttemptUnit, good, time.Minute)
+	if err != nil {
+		t.Fatalf("good unit after the panic: %v", err)
+	}
+	res, vuln, err := decodeAttemptResult(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rep.Candidates[rep.CandidateUsed-1]
+	if !res.Found || vuln == nil || res.Steps != want.Steps || res.Paths != want.Paths {
+		t.Fatalf("good unit result %+v (vuln %v), want found with %d steps, %d paths", res, vuln != nil, want.Steps, want.Paths)
 	}
 }

@@ -11,9 +11,9 @@ import (
 // Runner executes one work unit on the worker side: typ is the
 // application frame type (FrameAttemptUnit, FrameStateUnit), payload its
 // serialized body, and the returned bytes become the FrameResult payload.
-// An error is reported to the coordinator as a FrameError; the worker
-// connection stays up (a unit that fails to decode must not take the
-// worker down with it).
+// An error or a panic is reported to the coordinator as a FrameError; the
+// worker connection stays up (a unit that fails to decode or faults the
+// executor must not take the worker down with it).
 type Runner func(typ byte, payload []byte) ([]byte, error)
 
 // Serve accepts coordinator connections on l and processes their units
@@ -33,6 +33,18 @@ func Serve(l net.Listener, run Runner) error {
 			serveConn(conn, run)
 		}()
 	}
+}
+
+// runUnit runs one unit, turning a panic into that unit's error: a unit
+// that decodes cleanly can still carry operands that fault the executor,
+// and it must fail alone instead of taking the worker process down.
+func runUnit(run Runner, typ byte, payload []byte) (out []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			out, err = nil, fmt.Errorf("dispatch: unit %#x panicked: %v", typ, r)
+		}
+	}()
+	return run(typ, payload)
 }
 
 // serveConn speaks the protocol on one connection: handshake, then a
@@ -61,7 +73,7 @@ func serveConn(conn net.Conn, run Runner) error {
 		if typ < 0x10 {
 			return fmt.Errorf("dispatch: unexpected transport frame %#x mid-stream", typ)
 		}
-		out, rerr := run(typ, payload)
+		out, rerr := runUnit(run, typ, payload)
 		if rerr != nil {
 			if err := snapshot.WriteFrame(conn, snapshot.FrameError, []byte(rerr.Error())); err != nil {
 				return err

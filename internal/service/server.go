@@ -138,7 +138,7 @@ func (s *Service) Start(o *obs.Obs) error {
 			}
 		}
 		j := newJob(rec.ID, rec.Spec, s.o)
-		if err := s.admit(j, true); err != nil {
+		if _, err := s.admit(j, true); err != nil {
 			return fmt.Errorf("service: requeue %s: %w", rec.ID, err)
 		}
 	}
@@ -146,16 +146,20 @@ func (s *Service) Start(o *obs.Obs) error {
 }
 
 // admit registers j, writes the queued ledger record, and enqueues it.
-// requeue marks a recovery admission (job ID already allocated).
-func (s *Service) admit(j *Job, requeue bool) error {
+// requeue marks a recovery admission (job ID already allocated). It returns
+// the job's status as admitted, taken before the push: once the job is in
+// the queue a runner may pop it at any moment, so a later snapshot could
+// already say running.
+func (s *Service) admit(j *Job, requeue bool) (Status, error) {
 	rec := LedgerRecord{Job: j.ID, State: StateQueued, Spec: &j.Spec}
 	if err := s.ledger.Append(rec); err != nil {
-		return err
+		return Status{}, err
 	}
 	s.mu.Lock()
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
 	s.mu.Unlock()
+	admitted := j.status()
 	// Recovery requeues bypass the capacity bound (ForcePush): a crash can
 	// leave up to QueueSlots+Runners non-terminal jobs in the ledger, and
 	// rejecting the overflow would re-mark them interrupted and brick every
@@ -171,7 +175,7 @@ func (s *Service) admit(j *Job, requeue bool) error {
 		// Full (API race) or closed (drain): mark it interrupted so a later
 		// restart retries.
 		s.setTerminal(j, StateInterrupted, "", nil, "queue full at admission")
-		return fmt.Errorf("queue full")
+		return Status{}, fmt.Errorf("queue full")
 	}
 	s.gauge()
 	if s.o != nil {
@@ -180,7 +184,7 @@ func (s *Service) admit(j *Job, requeue bool) error {
 			s.o.Metrics.Counter(obs.ServiceTenantMetric(tenantOrDefault(j.Spec.Tenant))).Inc()
 		}
 	}
-	return nil
+	return admitted, nil
 }
 
 // newJobIDLocked allocates a fresh job ID under s.mu. Nanosecond submit
@@ -510,12 +514,13 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 
 	j := newJob(id, spec, s.o)
-	if err := s.admit(j, false); err != nil {
+	admitted, err := s.admit(j, false)
+	if err != nil {
 		apiError(w, http.StatusServiceUnavailable, "admit: %v", err)
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+id)
-	writeJSON(w, http.StatusAccepted, j.status())
+	writeJSON(w, http.StatusAccepted, admitted)
 }
 
 func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {

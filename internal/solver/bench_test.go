@@ -84,9 +84,10 @@ func BenchmarkCheckWideConjunction(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckPartitionedWide measures the same conjunction through the
-// independence optimization with caching.
-func BenchmarkCheckPartitionedWide(b *testing.B) {
+// BenchmarkPartitionWide measures splitting the same conjunction into its
+// 201 independent components from scratch — the work the executor no
+// longer repeats per query now that states keep their components.
+func BenchmarkPartitionWide(b *testing.B) {
 	tbl := NewVarTable()
 	length := tbl.NewVarBounded("len", 0, 1200)
 	cons := []Constraint{Ge(VarExpr(length), ConstExpr(1000))}
@@ -95,11 +96,10 @@ func BenchmarkCheckPartitionedWide(b *testing.B) {
 		cons = append(cons, Ne(VarExpr(bv), ConstExpr('<')))
 		cons = append(cons, Ne(VarExpr(bv), ConstExpr('>')))
 	}
-	cs := NewCached(New())
 	b.ReportAllocs()
 	for n := 0; n < b.N; n++ {
-		if res, _ := cs.CheckPartitioned(tbl, cons); res != Sat {
-			b.Fatal(res)
+		if comps := Partition(cons); len(comps) != 201 {
+			b.Fatalf("%d components", len(comps))
 		}
 	}
 }
@@ -193,48 +193,6 @@ func BenchmarkHashDigestIncremental(b *testing.B) {
 	for n := 0; n < b.N; n++ {
 		if base.Add(HashConstraint(last)).Sum == 0 {
 			b.Fatal("zero digest")
-		}
-	}
-}
-
-// BenchmarkCheckPartitionedCachedHot replays one conjunction through the
-// full cache stack (steady state: every component hits).
-func BenchmarkCheckPartitionedCachedHot(b *testing.B) {
-	tbl := NewVarTable()
-	length := tbl.NewVarBounded("len", 0, 1200)
-	cons := []Constraint{Ge(VarExpr(length), ConstExpr(1000))}
-	for i := 0; i < 64; i++ {
-		bv := tbl.NewVarBounded("b", 0, 255)
-		cons = append(cons, Ne(VarExpr(bv), ConstExpr('<')))
-	}
-	cs := NewCached(New())
-	if res, _ := cs.CheckPartitioned(tbl, cons); res != Sat {
-		b.Fatal(res)
-	}
-	b.ReportAllocs()
-	for n := 0; n < b.N; n++ {
-		if res, _ := cs.CheckPartitioned(tbl, cons); res != Sat {
-			b.Fatal(res)
-		}
-	}
-}
-
-// BenchmarkCheckPartitionedUncached is the same query with every cache
-// layer disabled — the ablation baseline the ≥2x win is measured against.
-func BenchmarkCheckPartitionedUncached(b *testing.B) {
-	tbl := NewVarTable()
-	length := tbl.NewVarBounded("len", 0, 1200)
-	cons := []Constraint{Ge(VarExpr(length), ConstExpr(1000))}
-	for i := 0; i < 64; i++ {
-		bv := tbl.NewVarBounded("b", 0, 255)
-		cons = append(cons, Ne(VarExpr(bv), ConstExpr('<')))
-	}
-	cs := NewCached(New())
-	cs.Disabled = true
-	b.ReportAllocs()
-	for n := 0; n < b.N; n++ {
-		if res, _ := cs.CheckPartitioned(tbl, cons); res != Sat {
-			b.Fatal(res)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package solver
 
 import (
-	"math/rand"
 	"testing"
 )
 
@@ -146,96 +145,5 @@ func TestPartitionOrderingDeterministic(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestCheckPartitionedEquivalence(t *testing.T) {
-	// Random systems: CheckPartitioned must agree with a monolithic Check.
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 200; trial++ {
-		tbl := NewVarTable()
-		nv := 2 + rng.Intn(5)
-		vars := make([]Var, nv)
-		for i := range vars {
-			vars[i] = tbl.NewVarBounded("v", -5, 5)
-		}
-		nc := 1 + rng.Intn(6)
-		cons := make([]Constraint, 0, nc)
-		for i := 0; i < nc; i++ {
-			// Sparse constraints touch 1-2 variables, creating several
-			// independent components in most trials.
-			e := ConstExpr(int64(rng.Intn(7) - 3))
-			e = e.Add(VarExpr(vars[rng.Intn(nv)]).MulConst(int64(rng.Intn(3) - 1)))
-			if rng.Intn(2) == 0 {
-				e = e.Add(VarExpr(vars[rng.Intn(nv)]).MulConst(int64(rng.Intn(3) - 1)))
-			}
-			op := []ConstraintOp{OpLe, OpEq, OpNe}[rng.Intn(3)]
-			cons = append(cons, Constraint{E: e, Op: op})
-		}
-		mono, monoModel := New().Check(tbl, cons)
-		cs := NewCached(New())
-		part, partModel := cs.CheckPartitioned(tbl, cons)
-		if mono == Unknown || part == Unknown {
-			continue
-		}
-		if mono != part {
-			t.Fatalf("trial %d: monolithic=%v partitioned=%v for %v",
-				trial, mono, part, renderCons(tbl, cons))
-		}
-		if part == Sat {
-			for _, c := range cons {
-				if !c.Holds(partModel) {
-					t.Fatalf("trial %d: partitioned model %v violates %s",
-						trial, partModel, c.String(tbl))
-				}
-			}
-			for _, c := range cons {
-				if !c.Holds(monoModel) {
-					t.Fatalf("trial %d: monolithic model violates %s", trial, c.String(tbl))
-				}
-			}
-		}
-	}
-}
-
-func TestCheckPartitionedComponentCaching(t *testing.T) {
-	tbl := NewVarTable()
-	x := tbl.NewVar("x")
-	y := tbl.NewVar("y")
-	cs := NewCached(New())
-	base := []Constraint{Ge(VarExpr(x), ConstExpr(3)), Le(VarExpr(x), ConstExpr(9))}
-	res, _ := cs.CheckPartitioned(tbl, base)
-	if res != Sat {
-		t.Fatal(res)
-	}
-	missesBefore := cs.Misses
-	// Adding an independent constraint about y re-solves only the y
-	// component: the x component hits the cache.
-	grown := append(append([]Constraint(nil), base...), Ge(VarExpr(y), ConstExpr(1)))
-	res, m := cs.CheckPartitioned(tbl, grown)
-	if res != Sat {
-		t.Fatal(res)
-	}
-	if m[x] < 3 || m[x] > 9 || m[y] < 1 {
-		t.Errorf("merged model = %v", m)
-	}
-	if cs.Hits == 0 {
-		t.Errorf("x-component did not hit the cache (hits=%d misses=%d->%d)",
-			cs.Hits, missesBefore, cs.Misses)
-	}
-}
-
-func TestCheckPartitionedUnsatComponent(t *testing.T) {
-	tbl := NewVarTable()
-	x := tbl.NewVar("x")
-	y := tbl.NewVar("y")
-	cons := []Constraint{
-		Ge(VarExpr(x), ConstExpr(0)), // sat component
-		Lt(VarExpr(y), VarExpr(y)),   // unsat component
-	}
-	cs := NewCached(New())
-	res, _ := cs.CheckPartitioned(tbl, cons)
-	if res != Unsat {
-		t.Errorf("result = %v, want unsat", res)
 	}
 }

@@ -103,13 +103,12 @@ func benchForkState(depth, localsPerFrame, nCons int) *State {
 		v := tbl.NewVarBounded("v", 0, 255)
 		c := solver.Ge(solver.VarExpr(v), solver.ConstExpr(int64(i%16)))
 		st.appendConstraint(c)
-		st.noteVars(c)
 	}
 	return st
 }
 
 // legacyFork reproduces the pre-copy-on-write fork: deep-copy every frame,
-// the globals, the constraint and trace slices, the bookkeeping maps and
+// the globals, the constraint and trace slices, the component index and
 // the buffer heap. Kept as the benchmark baseline for State.fork.
 func legacyFork(st *State) *State {
 	ns := &State{ID: -1, Status: StatusActive, Depth: st.Depth,
@@ -124,17 +123,8 @@ func legacyFork(st *State) *State {
 	copy(ns.Constraints, st.Constraints)
 	ns.Trace = make([]trace.Location, len(st.Trace), len(st.Trace)+4)
 	copy(ns.Trace, st.Trace)
-	if st.pcVars != nil {
-		ns.pcVars = make(map[solver.Var]struct{}, len(st.pcVars))
-		for v := range st.pcVars {
-			ns.pcVars[v] = struct{}{}
-		}
-	}
-	if st.bounds != nil {
-		ns.bounds = make(map[solver.Var]VarBounds, len(st.bounds))
-		for v, b := range st.bounds {
-			ns.bounds[v] = b
-		}
+	for i, c := range ns.Constraints {
+		ns.pcw().add(c, int32(i), solver.HashConstraint(c))
 	}
 	if st.heap != nil {
 		ns.heap = make(map[*SymBuffer]*bufCells, len(st.heap))
@@ -189,7 +179,61 @@ func BenchmarkForkCoWThenTouch(b *testing.B) {
 	for n := 0; n < b.N; n++ {
 		child := st.fork()
 		child.appendConstraint(c)
-		child.noteVars(c)
 		child.Top().Locals[0] = IntVal(int64(n))
 	}
+}
+
+// branchCheckState builds a state whose path condition has 1,000
+// constraints in 500 two-variable components — the shape of a guided
+// thttpd path condition — with a model that satisfies it, through the
+// executor's own query and commit.
+func branchCheckState(b *testing.B) (*Executor, *State, []solver.Var) {
+	b.Helper()
+	tbl := solver.NewVarTable()
+	ex := &Executor{Table: tbl, Solver: solver.NewCached(solver.New())}
+	st := &State{}
+	vars := make([]solver.Var, 0, 1000)
+	for i := 0; i < 500; i++ {
+		a := tbl.NewVarBounded("a", 0, 255)
+		c := tbl.NewVarBounded("c", 0, 255)
+		vars = append(vars, a, c)
+		addPathConstraint(st, solver.Le(solver.VarExpr(a).Add(solver.VarExpr(c)), solver.ConstExpr(300)))
+		addPathConstraint(st, solver.Ne(solver.VarExpr(a), solver.VarExpr(c)))
+	}
+	ok, m := ex.satisfiable(st)
+	if !ok || m == nil {
+		b.Fatal("path condition unsatisfiable")
+	}
+	ex.commit(st, m)
+	return ex, st, vars
+}
+
+// BenchmarkBranchCheckLongPC measures one satisfiability check on a long
+// path condition. model-hit: the branch condition holds under the cached
+// model, so the check ends at the model shortcut. solver: it does not, so
+// the check runs the component query for the one component it touches (a
+// cache hit after the first iteration).
+func BenchmarkBranchCheckLongPC(b *testing.B) {
+	b.Run("model-hit", func(b *testing.B) {
+		ex, st, vars := branchCheckState(b)
+		c := solver.Le(solver.VarExpr(vars[0]), solver.ConstExpr(st.LastModel[vars[0]]))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for n := 0; n < b.N; n++ {
+			if ok, _ := ex.satisfiable(st, c); !ok {
+				b.Fatal("unsat")
+			}
+		}
+	})
+	b.Run("solver", func(b *testing.B) {
+		ex, st, vars := branchCheckState(b)
+		c := solver.Ne(solver.VarExpr(vars[0]), solver.ConstExpr(st.LastModel[vars[0]]))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for n := 0; n < b.N; n++ {
+			if ok, _ := ex.satisfiable(st, c); !ok {
+				b.Fatal("unsat")
+			}
+		}
+	})
 }

@@ -164,12 +164,11 @@ func TestForkConstraintPrefixSharing(t *testing.T) {
 func TestForkVarsBookkeepingIsolation(t *testing.T) {
 	st, tbl, x := cowState(t)
 	y := tbl.NewVar("y")
-	st.noteVars(solver.Ge(solver.VarExpr(x), solver.ConstExpr(0)))
 	child := st.fork()
-	// Parent notes a new variable; the child's view must not gain it.
-	st.noteVars(solver.Ge(solver.VarExpr(y), solver.ConstExpr(1)))
+	// Parent constrains a new variable; the child's index must not gain it.
+	st.appendConstraint(solver.Ge(solver.VarExpr(y), solver.ConstExpr(1)))
 	if child.mentions(y) {
-		t.Error("child pcVars mutated through parent")
+		t.Error("child variable index mutated through parent")
 	}
 	if !st.mentions(y) || !st.mentions(x) || !child.mentions(x) {
 		t.Error("mention bookkeeping lost")

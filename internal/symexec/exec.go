@@ -3,6 +3,9 @@ package symexec
 import (
 	"context"
 	"fmt"
+	"maps"
+	"reflect"
+	"sort"
 	"time"
 
 	"repro/internal/bytecode"
@@ -221,6 +224,11 @@ type Executor struct {
 	// goroutines at once.
 	visitDelta [][]int64
 	visitDirty []visitRef
+
+	// Scratch buffers of component queries (checkComponents).
+	items []queryItem
+	cons  []solver.Constraint
+	idx   []int32
 
 	// Observability (nil when disabled — the only cost is nil checks).
 	// obsv/span are resolved once per RunContext from the context; hops is
@@ -657,6 +665,15 @@ func (ex *Executor) runQuantum(st *State) {
 
 // --- satisfiability plumbing ---
 
+// branchCheckHook, when set, observes every satisfiability query before it
+// is decided (tests use it to check the component bookkeeping).
+var branchCheckHook func(ex *Executor, st *State, extra []solver.Constraint)
+
+// sameModel reports whether a and b are the same (non-nil) model value.
+func sameModel(a, b solver.Model) bool {
+	return a != nil && b != nil && reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
+}
+
 func allHold(cons []solver.Constraint, m solver.Model) bool {
 	for _, c := range cons {
 		if !c.Holds(m) {
@@ -666,15 +683,20 @@ func allHold(cons []solver.Constraint, m solver.Model) bool {
 	return true
 }
 
-// satisfiable decides pc(st) ∧ extra. Three incremental fast paths avoid
-// most full solver queries on long loop chains:
+// satisfiable decides pc(st) ∧ extra. Shortcuts, cheapest first:
 //
-//  1. model check: the extras already hold under the cached model;
+//  1. model check: the extras and every component not known to hold
+//     already hold under the cached model;
 //  2. bounds refutation: a single-variable extra contradicts the interval
 //     the path condition implies for that variable;
 //  3. disjoint solve: extras whose variables the path condition does not
-//     mention are decided in isolation and their model merged.
+//     mention are decided in isolation and their model merged;
+//  4. component query: only the components the extras touch, and those
+//     without a recorded model, are looked up (checkComponents).
 func (ex *Executor) satisfiable(st *State, extra ...solver.Constraint) (bool, solver.Model) {
+	if branchCheckHook != nil {
+		branchCheckHook(ex, st, extra)
+	}
 	// Stamp the query with its origin function's content hash (persistence
 	// attribution; see Options.OriginHashes). The model-check shortcut
 	// below issues no solver query, so stamping first costs nothing there.
@@ -683,52 +705,291 @@ func (ex *Executor) satisfiable(st *State, extra ...solver.Constraint) (bool, so
 			ex.Solver.Origin = ex.Opts.OriginHashes[fn.Index]
 		}
 	}
-	if st.LastModel != nil && allHold(extra, st.LastModel) && allHold(st.Constraints, st.LastModel) {
+	if st.LastModel != nil && allHold(extra, st.LastModel) && st.pcHolds() {
 		return true, st.LastModel
 	}
 	if ex.refutedByBounds(st, extra) {
 		return false, nil
 	}
 	if st.LastModel != nil && ex.disjointFromPC(st, extra) {
-		res, m := ex.Solver.CheckCtx(ex.runCtx(), ex.Table, extra)
+		ctx := ex.runCtx()
+		res, m := ex.Solver.CheckCtx(ctx, ex.Table, extra)
 		switch res {
 		case solver.Sat:
-			merged := make(solver.Model, len(st.LastModel)+len(m))
-			for k, v := range st.LastModel {
-				merged[k] = v
-			}
+			merged := maps.Clone(st.LastModel)
 			for k, v := range m {
 				merged[k] = v
 			}
+			p := pendingVerdict{model: merged, extras: solver.DigestOf(extra), cache: ex.Solver}
+			if ctx.Err() == nil && st.meta.cache == ex.Solver && len(groupExtras(st.pc, extra)) == 1 {
+				p.groups = []pendingGroup{{key: constraintKey(extra[0]), digest: p.extras, model: m}}
+			}
+			st.notePending(p)
 			return true, merged
 		case solver.Unsat:
 			return false, nil
 		}
 		// Unknown: fall through to the full query.
 	}
-	query := make([]solver.Constraint, 0, len(st.Constraints)+len(extra))
-	query = append(query, st.Constraints...)
-	// The query digest extends the state's rolling path-condition digest,
-	// so the whole conjunction is never re-hashed.
-	qd := st.pcDigest
-	for _, c := range extra {
-		query = append(query, c)
-		qd = qd.Add(solver.HashConstraint(c))
+	return ex.checkComponents(st, extra)
+}
+
+// queryItem is one conjunction a component query looks up: a path-condition
+// component (root >= 0) or a group of extras together with the components
+// they touch (group >= 0). first is its smallest constraint index, counting
+// extras from len(st.Constraints), which orders items the way
+// solver.Partition orders the components of pc ∧ extras.
+type queryItem struct {
+	first  int32
+	root   int32
+	group  int
+	digest solver.Digest
+	res    solver.Result
+	model  solver.Model
+}
+
+// checkComponents decides pc(st) ∧ extra component by component. Each
+// component of that conjunction is looked up in the solver cache in
+// partition order unless the state already records the model this cache
+// decided for it; one unsatisfiable component refutes the query. The
+// returned model is the union of the component models — what a lookup of
+// every component would have assembled.
+func (ex *Executor) checkComponents(st *State, extra []solver.Constraint) (bool, solver.Model) {
+	ctx := ex.runCtx()
+	p := st.pc
+	n := int32(len(st.Constraints))
+	groups := groupExtras(p, extra)
+	items := ex.items[:0]
+	for gi, g := range groups {
+		it := queryItem{first: n + int32(g.extras[0]), root: -1, group: gi}
+		for _, r := range g.roots {
+			c := p.comp(r)
+			it.first = min(it.first, c.idx[0])
+			it.digest = solver.Digest{Sum: it.digest.Sum + c.digest.Sum, N: it.digest.N + c.digest.N}
+		}
+		for _, j := range g.extras {
+			it.digest = it.digest.Add(solver.HashConstraint(extra[j]))
+		}
+		items = append(items, it)
 	}
-	// Independent-component solving (KLEE's independence optimization):
-	// only the components touched by the new constraints re-solve; the
-	// rest hit the query cache.
-	res, m := ex.Solver.CheckPartitionedDigestCtx(ex.runCtx(), ex.Table, query, qd)
-	switch res {
-	case solver.Sat:
-		return true, m
-	case solver.Unsat:
+	inGroup := func(r int32) bool {
+		for _, g := range groups {
+			for _, x := range g.roots {
+				if x == r {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	// A component needs a lookup unless it records this cache's model. On a
+	// cache the state is new to (a resumed state, another worker slot),
+	// every component is examined; otherwise only the dirty ones can need
+	// it.
+	need := func(r int32, c *pcComp) bool {
+		return ex.Solver.Disabled || c.model == nil || c.cache != ex.Solver
+	}
+	fullScan := ex.Solver.Disabled || st.meta.cache != ex.Solver
+	if fullScan {
+		p.roots(func(r int32, c *pcComp) {
+			if need(r, c) && !inGroup(r) {
+				items = append(items, queryItem{first: c.idx[0], root: r, group: -1, digest: c.digest})
+			}
+		})
+	} else {
+	dirty:
+		for _, s := range st.meta.dirty {
+			r := p.find(s)
+			c := p.comp(r)
+			if !need(r, c) || inGroup(r) {
+				continue
+			}
+			for _, it := range items[len(groups):] {
+				if it.root == r {
+					continue dirty
+				}
+			}
+			items = append(items, queryItem{first: c.idx[0], root: r, group: -1, digest: c.digest})
+		}
+	}
+	sort.Slice(items, func(i, j int) bool { return items[i].first < items[j].first })
+	ex.items = items
+
+	recorded := true
+	unknown, refuted := false, false
+	for i := range items {
+		it := &items[i]
+		if it.root >= 0 {
+			ex.cons = ex.compCons(st, it.root)
+		} else {
+			ex.cons = ex.compCons(st, groups[it.group].roots...)
+			for _, j := range groups[it.group].extras {
+				ex.cons = append(ex.cons, extra[j])
+			}
+		}
+		it.res, it.model = ex.Solver.CheckDigestCtx(ctx, ex.Table, ex.cons, it.digest)
+		if it.root >= 0 {
+			if ctx.Err() != nil {
+				recorded = false
+			} else {
+				c := st.pcw().compw(it.root)
+				if it.res == solver.Sat {
+					c.model, c.cache = it.model, ex.Solver
+					st.markStale(it.root)
+				} else {
+					c.model, c.cache = nil, nil
+				}
+			}
+		}
+		if it.res == solver.Unsat {
+			refuted = true
+			break
+		}
+		if it.res == solver.Unknown {
+			unknown = true
+		}
+	}
+	if !refuted && fullScan && recorded && !ex.Solver.Disabled {
+		// Every component now records this cache's model, except those the
+		// extras touched: forget theirs if another cache decided them.
+		for _, g := range groups {
+			for _, r := range g.roots {
+				if p.comp(r).cache != ex.Solver {
+					c := st.pcw().compw(r)
+					c.model, c.cache = nil, nil
+				}
+			}
+		}
+		st.meta.cache = ex.Solver
+	}
+	st.pruneDirty(fullScan)
+	if refuted {
 		return false, nil
-	default:
-		// Unknown: explore optimistically (sound for vulnerability search:
-		// definite faults are still confirmed by concrete witnesses).
+	}
+	if unknown {
+		// Explore optimistically (sound for vulnerability search: definite
+		// faults are still confirmed by concrete witnesses).
 		return true, nil
 	}
+	// Every component is satisfiable: the model is the union of the group
+	// models and every other component's recorded model (components are
+	// variable-disjoint and a verdict model binds only its conjunction's
+	// variables, so the union order is immaterial).
+	model := st.unionModel(items, groups, recorded)
+	pv := pendingVerdict{model: model, extras: solver.DigestOf(extra), full: true, cache: ex.Solver, stale: len(st.meta.stale)}
+	if ctx.Err() == nil {
+		for _, it := range items {
+			if it.group >= 0 {
+				g := groups[it.group]
+				pv.groups = append(pv.groups, pendingGroup{key: constraintKey(extra[g.extras[0]]), digest: it.digest, model: it.model})
+			}
+		}
+	}
+	st.notePending(pv)
+	return true, model
+}
+
+// compCons returns, in the executor's scratch buffer, the constraints of the
+// components rooted at roots in path-condition order.
+func (ex *Executor) compCons(st *State, roots ...int32) []solver.Constraint {
+	cons := ex.cons[:0]
+	switch len(roots) {
+	case 0:
+	case 1:
+		for _, i := range st.pc.comp(roots[0]).idx {
+			cons = append(cons, st.Constraints[i])
+		}
+	default:
+		idx := ex.idx[:0]
+		for _, r := range roots {
+			idx = append(idx, st.pc.comp(r).idx...)
+		}
+		sort.Slice(idx, func(a, b int) bool { return idx[a] < idx[b] })
+		for _, i := range idx {
+			cons = append(cons, st.Constraints[i])
+		}
+		ex.idx = idx
+	}
+	return cons
+}
+
+// extraGroup is one set of extras connected through shared variables,
+// directly or through the path-condition components they touch (roots):
+// one component of pc ∧ extras.
+type extraGroup struct {
+	roots  []int32
+	extras []int
+}
+
+// groupExtras partitions the extras of a query into extraGroups, ordered by
+// their first extra.
+func groupExtras(p *pcIndex, extra []solver.Constraint) []extraGroup {
+	if len(extra) == 0 {
+		return nil
+	}
+	parent := make([]int, len(extra))
+	for i := range parent {
+		parent[i] = i
+	}
+	find := func(x int) int {
+		for parent[x] != x {
+			x = parent[x]
+		}
+		return x
+	}
+	// owner records the first extra seen with each key: a component root,
+	// or a variable the path condition does not mention.
+	type owner struct {
+		root int32
+		v    solver.Var
+		j    int
+	}
+	var owners []owner
+	link := func(root int32, v solver.Var, j int) {
+		for _, o := range owners {
+			if o.root == root && o.v == v {
+				a, b := find(o.j), find(j)
+				if a > b {
+					a, b = b, a
+				}
+				parent[b] = a
+				return
+			}
+		}
+		owners = append(owners, owner{root: root, v: v, j: j})
+	}
+	key := func(v solver.Var, j int) {
+		if r := p.rootOf(v); r >= 0 {
+			link(r, 0, j)
+		} else {
+			link(-1, v, j)
+		}
+	}
+	for j, c := range extra {
+		if len(c.E.Terms) == 0 {
+			key(groundVar, j)
+		}
+		for _, tm := range c.E.Terms {
+			key(tm.Var, j)
+		}
+	}
+	gi := make([]int, len(extra))
+	var groups []extraGroup
+	for j := range extra {
+		if r := find(j); r == j {
+			gi[j] = len(groups)
+			groups = append(groups, extraGroup{})
+		}
+		g := &groups[gi[find(j)]]
+		g.extras = append(g.extras, j)
+	}
+	for _, o := range owners {
+		if o.root >= 0 {
+			g := &groups[gi[find(o.j)]]
+			g.roots = append(g.roots, o.root)
+		}
+	}
+	return groups
 }
 
 // disjointFromPC reports whether no extra constraint mentions a variable
@@ -753,7 +1014,7 @@ func (ex *Executor) refutedByBounds(st *State, extra []solver.Constraint) bool {
 		if !single || (coeff != 1 && coeff != -1) {
 			continue
 		}
-		b := st.bounds[v]
+		b := st.bounds(v)
 		info := ex.Table.Info(v)
 		if info.HasLo && (!b.HasLo || info.Lo > b.Lo) {
 			b.Lo, b.HasLo = info.Lo, true
@@ -792,13 +1053,22 @@ func (ex *Executor) refutedByBounds(st *State, extra []solver.Constraint) bool {
 }
 
 // commit appends constraints to the path condition and installs the model
-// that witnesses them.
+// that witnesses them. A model satisfiable returned for exactly these
+// constraints also records the component models it decided.
 func (ex *Executor) commit(st *State, m solver.Model, cons ...solver.Constraint) {
+	var pv *pendingVerdict
+	if m != nil && !sameModel(m, st.LastModel) {
+		if p := st.takePending(m, cons); p != nil {
+			cp := *p
+			pv = &cp
+		}
+		st.setModel(m, pv)
+	}
 	for _, c := range cons {
 		addPathConstraint(st, c)
 	}
-	if m != nil {
-		st.LastModel = m
+	if pv != nil {
+		st.recordModels(pv)
 	}
 }
 
@@ -827,7 +1097,7 @@ func (ex *Executor) seedModelValue(st *State, v solver.Var, val int64) {
 		if len(st.Constraints) > 0 {
 			return
 		}
-		st.LastModel = solver.Model{v: val}
+		st.changeModel(solver.Model{v: val})
 		return
 	}
 	if _, exists := st.LastModel[v]; exists {
@@ -861,30 +1131,35 @@ func (ex *Executor) extendModel(st *State, v solver.Var, val int64) {
 		nm[k] = x
 	}
 	nm[v] = val
-	st.LastModel = nm
+	st.changeModel(nm, v)
 }
 
 // addPathConstraint appends c, compacting single-variable bounds so loop
 // chains do not grow the path condition linearly (x ≥ 6 subsumes x ≥ 5).
+// Only v's component can hold a constraint over v, so the compaction scan
+// stays inside it.
 func addPathConstraint(st *State, c solver.Constraint) {
 	if c.IsTriviallyTrue() {
 		return
 	}
-	st.noteVars(c)
 	if v, coeff, ok := c.E.SingleVar(); ok && (coeff == 1 || coeff == -1) && c.Op == solver.OpLe {
-		for i, old := range st.Constraints {
-			if old.Op != solver.OpLe {
-				continue
+		if r := st.pc.rootOf(v); r >= 0 {
+			for _, i := range st.pc.comp(r).idx {
+				old := st.Constraints[i]
+				if old.Op != solver.OpLe {
+					continue
+				}
+				ov, ocoeff, ook := old.E.SingleVar()
+				if !ook || ov != v || ocoeff != coeff {
+					continue
+				}
+				// Same form: coeff·v + k ≤ 0. Larger k is tighter.
+				st.pcw().noteBound(v, coeff, c)
+				if c.E.Const >= old.E.Const {
+					st.replaceConstraint(int(i), c)
+				}
+				return
 			}
-			ov, ocoeff, ook := old.E.SingleVar()
-			if !ook || ov != v || ocoeff != coeff {
-				continue
-			}
-			// Same form: coeff·v + k ≤ 0. Larger k is tighter.
-			if c.E.Const >= old.E.Const {
-				st.replaceConstraint(i, c)
-			}
-			return
 		}
 	}
 	st.appendConstraint(c)

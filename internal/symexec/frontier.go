@@ -1,8 +1,10 @@
 package symexec
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -342,10 +344,20 @@ func (f *frontier) dispatch() {
 		return
 	}
 	var wg sync.WaitGroup
+	var fault atomic.Value
 	wg.Add(w)
 	for wk := 0; wk < w; wk++ {
 		go func(wk int) {
 			defer wg.Done()
+			defer func() {
+				// Relay a panic to the caller's goroutine, where the
+				// run's owner (a dispatch worker's per-unit recover) can
+				// contain it; on a worker goroutine it would end the
+				// process.
+				if r := recover(); r != nil {
+					fault.CompareAndSwap(nil, fmt.Sprint(r))
+				}
+			}()
 			t0 := time.Now()
 			for i := wk; i < n; i += w {
 				f.outs[i] = f.slots[i].runQuantumCollect(f.drafted[i])
@@ -354,6 +366,9 @@ func (f *frontier) dispatch() {
 		}(wk)
 	}
 	wg.Wait()
+	if r := fault.Load(); r != nil {
+		panic(fmt.Sprintf("symexec: epoch worker panicked: %v", r))
+	}
 }
 
 // merge folds the epoch's outcomes back in draft order.

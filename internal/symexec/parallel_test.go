@@ -1,7 +1,10 @@
 package symexec
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -253,4 +256,45 @@ func TestParallelFrameReleaseStress(t *testing.T) {
 			t.Fatalf("round %d: %d siblings kept the original frame, want exactly 1", r, keepers)
 		}
 	}
+}
+
+// TestParallelWorkerPanicReachesCaller: a panic inside a quantum that runs on
+// an epoch-engine worker goroutine is re-raised on the goroutine that called
+// Run, where its owner (a dispatch worker's per-unit recover) can contain
+// it; left on the worker goroutine it would end the process.
+func TestParallelWorkerPanicReachesCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	prog := bytecode.MustCompile("relay", `
+func g(int x) int {
+  int y = x + 1;
+  return y;
+}
+func main() int {
+  int a = input_int("a");
+  int i = 0;
+  if (a > 5) { i = 1; } else { i = 2; }
+  int j = 0;
+  while (j < 50) { j = j + 1; }
+  return g(a + i);
+}`)
+	// Corrupt g's store.l: both forked states reach it after several
+	// quanta, drafted into the same epochs on two workers.
+	g := prog.Fn("g")
+	for i, in := range g.Code {
+		if in.Op == bytecode.OpStoreLocal {
+			g.Code[i].A = 1 << 20
+			break
+		}
+	}
+	opts := DefaultOptions()
+	opts.Workers = 2
+	ex := New(prog, nil, opts)
+	defer func() {
+		r := recover()
+		if r == nil || !strings.Contains(fmt.Sprint(r), "epoch worker panicked") {
+			t.Fatalf("recovered %v, want the relayed epoch-worker panic", r)
+		}
+	}()
+	ex.Run()
+	t.Fatal("corrupted program ran to completion")
 }

@@ -101,14 +101,16 @@ type State struct {
 	// is shared across forks and never mutated in place.
 	LastModel solver.Model
 
-	// pcVars is the set of variables mentioned by Constraints, and bounds
-	// caches the interval implied by the single-variable constraints.
-	// Together they power two incremental fast paths: constraints over
-	// variables disjoint from the path condition can be solved in
-	// isolation, and single-variable contradictions refute in O(1).
-	// Shared with forked children until first write (varsShared).
-	pcVars map[solver.Var]struct{}
-	bounds map[solver.Var]VarBounds
+	// pc holds the path condition's independent components, its variable
+	// index and the per-variable bounds (components.go). It powers the
+	// incremental satisfiability shortcuts: a query looks up only the
+	// components its constraints touch, constraints over variables disjoint
+	// from the path condition are solved in isolation, and single-variable
+	// contradictions refute in O(1). Shared with forked relatives until
+	// first write (pcShared); meta is this state's bookkeeping around it.
+	pc       *pcIndex
+	pcShared bool
+	meta     pcMeta
 
 	// pcDigest is the rolling order-insensitive digest of Constraints,
 	// maintained incrementally so solver queries never re-hash the whole
@@ -123,10 +125,9 @@ type State struct {
 	heapShared bool
 	heapTok    *heapToken
 
-	// globalsShared / varsShared mark Globals and pcVars/bounds as shared
-	// with another state; the next write copies first.
+	// globalsShared marks Globals as shared with another state; the next
+	// write copies first.
 	globalsShared bool
-	varsShared    bool
 
 	// consShared is the length of the Constraints prefix shared with a
 	// forked child. In-place writes below it must copy the slice first;
@@ -174,23 +175,27 @@ func (st *State) AddConstraint(c solver.Constraint) {
 	st.appendConstraint(c)
 }
 
-// appendConstraint grows the path condition, keeping the rolling digest
-// and the shared-prefix marker coherent. Appending is always safe with
-// respect to forked children: a child's view is capacity-clamped at the
-// shared prefix, so in-place growth lands beyond what any child can see,
-// and a reallocation makes the array private.
+// appendConstraint grows the path condition, keeping the rolling digest,
+// the components and the shared-prefix marker coherent. Appending is always
+// safe with respect to forked children: a child's view is capacity-clamped
+// at the shared prefix, so in-place growth lands beyond what any child can
+// see, and a reallocation makes the array private.
 func (st *State) appendConstraint(c solver.Constraint) {
+	n := int32(len(st.Constraints))
 	oldCap := cap(st.Constraints)
 	st.Constraints = append(st.Constraints, c)
 	if cap(st.Constraints) != oldCap {
 		st.consShared = 0
 	}
-	st.pcDigest = st.pcDigest.Add(solver.HashConstraint(c))
+	h := solver.HashConstraint(c)
+	st.pcDigest = st.pcDigest.Add(h)
+	st.noteChanged(st.pcw().add(c, n, h), c)
 }
 
 // replaceConstraint overwrites Constraints[i] (single-variable bound
 // compaction), copying the slice first when i falls inside a prefix shared
-// with a forked child.
+// with a forked child. c must mention only variables of the replaced
+// constraint's component.
 func (st *State) replaceConstraint(i int, c solver.Constraint) {
 	old := st.Constraints[i]
 	if i < st.consShared {
@@ -199,6 +204,18 @@ func (st *State) replaceConstraint(i int, c solver.Constraint) {
 	}
 	st.Constraints[i] = c
 	st.pcDigest = st.pcDigest.Remove(solver.HashConstraint(old)).Add(solver.HashConstraint(c))
+	st.noteChanged(st.pcw().replace(constraintKey(old), old, c), c)
+}
+
+// noteChanged updates the bookkeeping after c entered root r's component:
+// the component lost its recorded model, it may no longer hold under
+// LastModel, and pending verdicts no longer describe the path condition.
+func (st *State) noteChanged(r int32, c solver.Constraint) {
+	st.markDirty(r)
+	if st.LastModel != nil && !c.Holds(st.LastModel) {
+		st.markUnheld(r)
+	}
+	st.meta.pending = nil
 }
 
 // fork returns a copy-on-write child (the executor assigns it a fresh ID).
@@ -237,11 +254,12 @@ func (st *State) fork() *State {
 	st.consShared = n
 	m := len(st.Trace)
 	ns.Trace = st.Trace[:m:m]
-	// pcVars/bounds: shared maps behind a dirty flag.
-	ns.pcVars = st.pcVars
-	ns.bounds = st.bounds
-	ns.varsShared = true
-	st.varsShared = true
+	// Components: share the index behind a dirty flag; each side copies
+	// what it touches (components.go).
+	ns.pc = st.pc
+	ns.pcShared = true
+	st.pcShared = true
+	ns.meta = st.meta.clone()
 	// Heap: share the map and drop both sides' ownership tokens, freezing
 	// every header and chunk in place (O(1) — no walk over the heap).
 	// Either side's next buffer write re-owns just what it touches.
@@ -291,29 +309,6 @@ func (st *State) ensureGlobalsOwned() {
 		st.Globals = append([]Value(nil), st.Globals...)
 		st.globalsShared = false
 	}
-}
-
-// ensureVarsOwned privatizes the path-condition bookkeeping maps before a
-// write.
-func (st *State) ensureVarsOwned() {
-	if !st.varsShared {
-		return
-	}
-	if st.pcVars != nil {
-		nv := make(map[solver.Var]struct{}, len(st.pcVars)+4)
-		for v := range st.pcVars {
-			nv[v] = struct{}{}
-		}
-		st.pcVars = nv
-	}
-	if st.bounds != nil {
-		nb := make(map[solver.Var]VarBounds, len(st.bounds)+4)
-		for v, b := range st.bounds {
-			nb[v] = b
-		}
-		st.bounds = nb
-	}
-	st.varsShared = false
 }
 
 // bufSmeared reports whether the buffer has been smeared by a
@@ -405,55 +400,15 @@ type VarBounds struct {
 }
 
 // mentions reports whether the path condition constrains v.
-func (st *State) mentions(v solver.Var) bool {
-	_, ok := st.pcVars[v]
-	return ok
-}
+func (st *State) mentions(v solver.Var) bool { return st.pc.lookup(v) != nil }
 
-// noteVars records the constraint's variables and updates the cached
-// bounds for single-variable forms.
-func (st *State) noteVars(c solver.Constraint) {
-	st.ensureVarsOwned()
-	if st.pcVars == nil {
-		st.pcVars = make(map[solver.Var]struct{}, 8)
+// bounds returns the interval the path condition's single-variable
+// constraints imply for v.
+func (st *State) bounds(v solver.Var) VarBounds {
+	if e := st.pc.lookup(v); e != nil {
+		return e.b
 	}
-	for _, tm := range c.E.Terms {
-		st.pcVars[tm.Var] = struct{}{}
-	}
-	v, coeff, single := c.E.SingleVar()
-	if !single || (coeff != 1 && coeff != -1) {
-		return
-	}
-	if st.bounds == nil {
-		st.bounds = make(map[solver.Var]VarBounds, 8)
-	}
-	b := st.bounds[v]
-	switch {
-	case c.Op == solver.OpLe && coeff == 1: // v <= -Const
-		k := -c.E.Const
-		if !b.HasHi || k < b.Hi {
-			b.Hi, b.HasHi = k, true
-		}
-	case c.Op == solver.OpLe && coeff == -1: // v >= Const
-		k := c.E.Const
-		if !b.HasLo || k > b.Lo {
-			b.Lo, b.HasLo = k, true
-		}
-	case c.Op == solver.OpEq && (coeff == 1 || coeff == -1):
-		k := -c.E.Const
-		if coeff == -1 {
-			k = c.E.Const
-		}
-		if !b.HasLo || k > b.Lo {
-			b.Lo, b.HasLo = k, true
-		}
-		if !b.HasHi || k < b.Hi {
-			b.Hi, b.HasHi = k, true
-		}
-	default:
-		return
-	}
-	st.bounds[v] = b
+	return VarBounds{}
 }
 
 // CurrentFunc returns the name of the function the state is executing.

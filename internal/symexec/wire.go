@@ -600,10 +600,12 @@ func (d *stateDecoder) state(funcs []*bytecode.Fn) (*State, error) {
 		}
 		st.heap[b] = c
 	}
-	// Rebuild derived bookkeeping.
-	for _, c := range st.Constraints {
-		st.noteVars(c)
+	// Rebuild derived bookkeeping: the components (with no recorded models,
+	// so the first query looks each one up again) and the digest.
+	for i, c := range st.Constraints {
+		st.markDirty(st.pcw().add(c, int32(i), solver.HashConstraint(c)))
 	}
 	st.pcDigest = solver.DigestOf(st.Constraints)
+	st.meta.unheldAll = st.LastModel != nil && len(st.Constraints) > 0
 	return st, nil
 }
